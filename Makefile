@@ -53,9 +53,10 @@ bench-shard:
 
 ## test-shard: the tile-sharded solver suite under the race detector —
 ## tile-worker concurrency, the shards=1 ≡ greedy bit-identity and
-## Monte-Carlo feasibility oracles, and the clustered-layout fuzz seeds
+## Monte-Carlo feasibility oracles, the pruned-vs-scan insertion-loop
+## oracle, and the clustered-layout fuzz seeds
 test-shard:
-	$(GO) test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
+	$(GO) test -race -run 'TestSharded|TestPrunedInsertMatchesScan|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 ## bench-traffic: traffic-engine per-slot cost (0 allocs/op) and the
 ## ≥1M-packet n=5000 throughput run with its packets/sec metric

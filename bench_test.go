@@ -291,7 +291,7 @@ func BenchmarkFieldBackends(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						s := fadingrls.Greedy{}.Schedule(pr)
+						s := fadingrls.Run(fadingrls.Greedy{}, pr)
 						if v := fadingrls.Verify(pr, s); len(v) != 0 {
 							b.Fatalf("infeasible schedule: %v", v[0])
 						}
@@ -317,7 +317,7 @@ func BenchmarkSolveColdBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		links = fadingrls.RLE{}.Schedule(pr).Len()
+		links = fadingrls.Run(fadingrls.RLE{}, pr).Len()
 	}
 	b.ReportMetric(float64(links), "links")
 }

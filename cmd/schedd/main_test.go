@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestServeSmoke(t *testing.T) {
 	for {
 		if m := listenRe.FindStringSubmatch(out.String()); m != nil && strings.Contains(out.String(), "debug") {
 			apiAddr = m[1]
-			if dm := regexp.MustCompile(`debug \(pprof, expvar\) on (\S+)`).FindStringSubmatch(out.String()); dm != nil {
+			if dm := regexp.MustCompile(`debug \(pprof, metrics\) on (\S+)`).FindStringSubmatch(out.String()); dm != nil {
 				debugAddr = dm[1]
 				break
 			}
@@ -101,22 +102,34 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("smoke solve wrong: status %d, %+v", resp.StatusCode, solved)
 	}
 
-	// The private port serves pprof and the metric map.
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/vars", debugAddr))
+	// The private port serves pprof and the /metrics export.
+	resp, err = http.Get(fmt.Sprintf("http://%s/metrics", debugAddr))
 	if err != nil {
-		t.Fatalf("debug vars failed: %v", err)
+		t.Fatalf("debug metrics failed: %v", err)
 	}
-	var vars struct {
-		Schedd struct {
-			Requests int64 `json:"requests_total"`
-		} `json:"schedd"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if vars.Schedd.Requests < 1 {
-		t.Errorf("metrics did not count the smoke request: %+v", vars)
+	var requests int64
+	if m := regexp.MustCompile(`(?m)^schedd_requests_total (\d+)$`).FindSubmatch(exposition); m != nil {
+		requests, _ = strconv.ParseInt(string(m[1]), 10, 64)
+	}
+	if requests < 1 {
+		t.Errorf("metrics did not count the smoke request:\n%s", exposition)
+	}
+	// /metrics is the only export: the expvar mirror is gone from both
+	// ports.
+	for _, addr := range []string{apiAddr, debugAddr} {
+		resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s/debug/vars = %d, want 404", addr, resp.StatusCode)
+		}
 	}
 
 	// Clean shutdown on signal (ctx cancel stands in for SIGTERM).

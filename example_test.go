@@ -39,7 +39,7 @@ func ExampleVerify() {
 
 func ExampleExact_schedule() {
 	pr, _ := fadingrls.NewProblem(twoIslands(), fadingrls.DefaultParams())
-	s := fadingrls.Exact{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.Exact{}, pr)
 	// The optimum takes the rate-2 island link plus one of the close
 	// pair — never both of the close pair.
 	fmt.Println("throughput:", s.Throughput(pr))

@@ -48,7 +48,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if slot%every == 0 {
-				current = fadingrls.RLE{}.Schedule(pr)
+				current = fadingrls.Run(fadingrls.RLE{}, pr)
 				reschedules++
 			}
 			totalEF += fadingrls.ExpectedFailures(pr, current)

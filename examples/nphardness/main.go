@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := fadingrls.Exact{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.Exact{}, pr)
 	schedOpt := s.Throughput(pr)
 	want := red.GadgetRate + knapOpt
 	fmt.Printf("\nexact scheduling optimum: %.3f\n", schedOpt)

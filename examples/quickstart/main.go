@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("instance: %d links, length diversity g(L) = %d\n\n", ls.Len(), ls.Diversity())
 
 	for _, algo := range []fadingrls.Algorithm{fadingrls.LDP{}, fadingrls.RLE{}} {
-		s := algo.Schedule(pr)
+		s := fadingrls.Run(algo, pr)
 		fmt.Printf("%s\n", s)
 		fmt.Printf("  throughput: %.0f   feasible: %v\n",
 			s.Throughput(pr), fadingrls.Feasible(pr, s))
@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := fadingrls.Exact{}.Schedule(pr2)
+	s := fadingrls.Run(fadingrls.Exact{}, pr2)
 	fmt.Printf("custom 2-link instance, exact optimum: %s (throughput %.0f)\n",
 		s, s.Throughput(pr2))
 }

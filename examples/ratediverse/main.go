@@ -34,7 +34,7 @@ func main() {
 		fadingrls.Greedy{},
 		fadingrls.RLE{}, // still feasible, just not guarantee-covered
 	} {
-		s := a.Schedule(pr)
+		s := fadingrls.Run(a, pr)
 		fmt.Printf("%-14s %8d %14.1f %12v\n",
 			a.Name(), s.Len(), s.Throughput(pr), fadingrls.Feasible(pr, s))
 	}
@@ -52,10 +52,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := fadingrls.Exact{}.Schedule(prS).Throughput(prS)
+	opt := fadingrls.Run(fadingrls.Exact{}, prS).Throughput(prS)
 	fmt.Printf("\n14-link dense sub-instance, exact optimum = %.1f\n", opt)
 	for _, a := range []fadingrls.Algorithm{fadingrls.LDP{}, fadingrls.Greedy{}} {
-		v := a.Schedule(prS).Throughput(prS)
+		v := fadingrls.Run(a, prS).Throughput(prS)
 		fmt.Printf("  %-10s %.1f  (OPT/alg = %.2f, proven LDP bound 16·g = %.0f)\n",
 			a.Name(), v, opt/v, 16*float64(small.Diversity()))
 	}

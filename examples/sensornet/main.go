@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("%-18s %8s %10s %14s %16s\n",
 		"algorithm", "links", "feasible", "fails/slot", "failure rate")
 	for _, a := range algos {
-		s := a.Schedule(pr)
+		s := fadingrls.Run(a, pr)
 		res, err := fadingrls.Simulate(pr, s, fadingrls.SimConfig{Slots: slots, Seed: seed})
 		if err != nil {
 			log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := fadingrls.ApproxDiversity{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.ApproxDiversity{}, pr)
 	res, err := fadingrls.Simulate(pr, s, fadingrls.SimConfig{Slots: 3000, Seed: 5})
 	if err != nil {
 		log.Fatal(err)

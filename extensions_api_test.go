@@ -77,7 +77,7 @@ func TestRepairThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := fadingrls.ApproxDiversity{}.Schedule(pr)
+	raw := fadingrls.Run(fadingrls.ApproxDiversity{}, pr)
 	fixed := fadingrls.Repair(pr, raw)
 	if !fadingrls.Feasible(pr, fixed) {
 		t.Error("repaired schedule infeasible")
@@ -99,7 +99,7 @@ func TestNoiseAndPowerThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fadingrls.Exact{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.Exact{}, pr)
 	if !fadingrls.Feasible(pr, s) {
 		t.Error("exact schedule infeasible under noise+power")
 	}
@@ -215,7 +215,7 @@ func TestSimulateAdaptiveThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fadingrls.ApproxDiversity{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.ApproxDiversity{}, pr)
 	res, err := fadingrls.SimulateAdaptive(pr, s, fadingrls.AdaptiveSimConfig{
 		TargetCI: 0.2, BatchSlots: 50, Seed: 4,
 	})

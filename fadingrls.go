@@ -21,7 +21,7 @@
 //
 //	ls, _ := fadingrls.Generate(fadingrls.PaperConfig(300), 42, 0)
 //	pr, _ := fadingrls.NewProblem(ls, fadingrls.DefaultParams())
-//	s := fadingrls.RLE{}.Schedule(pr)
+//	s := fadingrls.Run(fadingrls.RLE{}, pr)
 //	fmt.Println(s.Throughput(pr), fadingrls.Feasible(pr, s))
 package fadingrls
 
@@ -65,11 +65,12 @@ type (
 	Problem = sched.Problem
 	// Schedule is an activation set for one time slot.
 	Schedule = sched.Schedule
-	// Algorithm is any Fading-R-LS scheduler.
+	// Algorithm is any Fading-R-LS scheduler: Name plus one Solve
+	// method. Run, SolveContext and Prepared are the ways to call it.
 	Algorithm = sched.Algorithm
-	// ContextAlgorithm is an Algorithm whose solve honors context
-	// cancellation (Exact, DLS) — what schedd aborts on deadline.
-	ContextAlgorithm = sched.ContextAlgorithm
+	// Scratch is the reusable per-solve workspace an Algorithm's Solve
+	// receives; Prepared pools them.
+	Scratch = sched.Scratch
 	// Violation reports one receiver over its feasibility budget.
 	Violation = sched.Violation
 
@@ -274,8 +275,13 @@ func Solve(name string, pr *Problem) (Schedule, error) {
 	if !ok {
 		return Schedule{}, fmt.Errorf("fadingrls: unknown algorithm %q (have %v)", name, sched.Names())
 	}
-	return a.Schedule(pr), nil
+	return sched.ScheduleContext(context.Background(), a, pr)
 }
+
+// Run solves pr with a under a background context, the form for
+// callers without a deadline (see sched.Run): a solve error there is a
+// program bug and panics. Use SolveContext to receive errors.
+func Run(a Algorithm, pr *Problem) Schedule { return sched.Run(a, pr) }
 
 // SolveContext runs a registered algorithm under ctx: context-aware
 // solvers (Exact, DLS) abort mid-search on cancellation, others are

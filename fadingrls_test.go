@@ -16,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fadingrls.RLE{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.RLE{}, pr)
 	if s.Len() == 0 {
 		t.Fatal("RLE scheduled nothing")
 	}
@@ -77,7 +77,7 @@ func TestSimulateThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fadingrls.ApproxDiversity{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.ApproxDiversity{}, pr)
 	res, err := fadingrls.Simulate(pr, s, fadingrls.SimConfig{Slots: 200, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestExplicitLinkSetThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fadingrls.Exact{}.Schedule(pr)
+	s := fadingrls.Run(fadingrls.Exact{}, pr)
 	if s.Len() != 2 {
 		t.Errorf("exact scheduled %d of 2 independent links", s.Len())
 	}

@@ -2,6 +2,7 @@ package aggregation
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -112,7 +113,11 @@ func Convergecast(t *Tree, params radio.Params, algo sched.Algorithm) (*Schedule
 		if err != nil {
 			return nil, err
 		}
-		picked := algo.Schedule(pr).Active
+		s, err := sched.ScheduleContext(context.Background(), algo, pr)
+		if err != nil {
+			return nil, fmt.Errorf("aggregation: slot %d: %s: %w", slot, algo.Name(), err)
+		}
+		picked := s.Active
 		if len(picked) == 0 {
 			picked = []int{0} // force the highest-priority candidate
 		}

@@ -32,6 +32,7 @@
 package dlsproto
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/geom"
@@ -360,20 +361,17 @@ type Algorithm struct {
 // Name implements sched.Algorithm.
 func (Algorithm) Name() string { return "dlsproto" }
 
-// Schedule implements sched.Algorithm. Run's only error paths are an
-// invalid round budget (excluded by construction) and an empty-set
-// MinLength (excluded by the n == 0 fast path), so the adapter treats
-// an error as a program bug.
-func (a Algorithm) Schedule(pr *sched.Problem) sched.Schedule {
+// Solve implements sched.Algorithm by running the protocol to
+// completion; it neither polls ctx nor uses the scratch workspace.
+// Run's only error paths are an invalid round budget (excluded by
+// construction) and an empty-set MinLength (excluded by the n == 0
+// fast path).
+func (a Algorithm) Solve(_ context.Context, pr *sched.Problem, _ *sched.Scratch, _ []int) (sched.Schedule, error) {
 	cfg := a.Config
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	s, err := Run(pr, cfg)
-	if err != nil {
-		panic("dlsproto: " + err.Error())
-	}
-	return s
+	return Run(pr, cfg)
 }
 
 func init() {

@@ -90,7 +90,7 @@ func TestRunComparableToCentralizedDLS(t *testing.T) {
 			t.Fatal(err)
 		}
 		proto += s.Throughput(pr)
-		central += sched.DLS{Seed: seed}.Schedule(pr).Throughput(pr)
+		central += sched.Run(sched.DLS{Seed: seed}, pr).Throughput(pr)
 	}
 	if proto < central/2 || proto > central*2 {
 		t.Errorf("distributed %v vs centralized %v — outside 2× band", proto, central)

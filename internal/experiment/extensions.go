@@ -168,7 +168,7 @@ func DiversityTable(opts Options) (*Table, error) {
 			return err
 		}
 		for ai, a := range algos {
-			add(names[ai], a.Schedule(pr).Throughput(pr))
+			add(names[ai], sched.Run(a, pr).Throughput(pr))
 		}
 		add("gL", float64(ls.Diversity()))
 		return nil

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/network"
@@ -190,8 +191,8 @@ func (d dlsRounds) Name() string {
 	return fmt.Sprintf("dls-%dr", d.rounds)
 }
 
-func (d dlsRounds) Schedule(pr *sched.Problem) sched.Schedule {
-	return sched.DLS{Seed: 1, Rounds: d.rounds}.Schedule(pr)
+func (d dlsRounds) Solve(ctx context.Context, pr *sched.Problem, scr *sched.Scratch, dst []int) (sched.Schedule, error) {
+	return sched.DLS{Seed: 1, Rounds: d.rounds}.Solve(ctx, pr, scr, dst)
 }
 
 // Specs returns every runnable experiment keyed by ID.

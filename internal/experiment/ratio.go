@@ -41,9 +41,9 @@ func RatioTable(opts Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		opt := (sched.Exact{}).Schedule(pr).Throughput(pr)
+		opt := sched.Run(sched.Exact{}, pr).Throughput(pr)
 		for ai, a := range algos {
-			alg := a.Schedule(pr).Throughput(pr)
+			alg := sched.Run(a, pr).Throughput(pr)
 			if alg <= 0 {
 				return fmt.Errorf("ratio: %s scheduled nothing on n=%d rep=%d", a.Name(), n, rep)
 			}

@@ -114,7 +114,7 @@ func TestReductionOptimaAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr := sched.MustNewProblem(red.Links, p)
-		s := (sched.Exact{}).Schedule(pr)
+		s := sched.Run(sched.Exact{}, pr)
 		var sumValue float64
 		for _, it := range in.Items {
 			sumValue += it.Value

@@ -22,7 +22,7 @@ func TestAdaptiveStopsEarlyOnQuietSchedules(t *testing.T) {
 	// A feasible RLE schedule has near-zero failure variance: the
 	// adaptive run must finish after one batch.
 	pr := denseProblem(t, 150, 2)
-	s := (sched.RLE{}).Schedule(pr)
+	s := sched.Run(sched.RLE{}, pr)
 	res, err := SimulateAdaptive(pr, s, AdaptiveConfig{TargetCI: 0.05, BatchSlots: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestAdaptiveSpendsMoreOnNoisySchedules(t *testing.T) {
 	// An overpacked baseline schedule needs several batches to reach a
 	// tight CI.
 	pr := denseProblem(t, 200, 4)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	quiet, err := SimulateAdaptive(pr, s, AdaptiveConfig{TargetCI: 1, BatchSlots: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestAdaptiveSpendsMoreOnNoisySchedules(t *testing.T) {
 
 func TestAdaptiveRespectsMaxSlots(t *testing.T) {
 	pr := denseProblem(t, 150, 6)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	res, err := SimulateAdaptive(pr, s, AdaptiveConfig{TargetCI: 1e-9, BatchSlots: 50, MaxSlots: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestAdaptiveMatchesOneLongRun(t *testing.T) {
 	// The batched sequence must reproduce a single Simulate call of the
 	// same total length: same mean, same per-link counts.
 	pr := denseProblem(t, 80, 8)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	adaptive, err := SimulateAdaptive(pr, s, AdaptiveConfig{TargetCI: 1e-12, BatchSlots: 60, MaxSlots: 240, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestAdaptiveBlockFadingAlignment(t *testing.T) {
 	// boundaries stay aligned; the result must match one long run of
 	// the same length.
 	pr := denseProblem(t, 60, 10)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	adaptive, err := SimulateAdaptive(pr, s, AdaptiveConfig{
 		TargetCI: 1e-12, BatchSlots: 50, MaxSlots: 112, Seed: 11, CoherenceSlots: 7,
 	})

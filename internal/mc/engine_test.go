@@ -96,7 +96,7 @@ func TestSimulateMatchesAnalyticExpectation(t *testing.T) {
 
 func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 	pr := denseProblem(t, 60, 4)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	base, err := Simulate(pr, s, Config{Slots: 64, Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestSimulateSeedSensitivity(t *testing.T) {
 	pr := denseProblem(t, 60, 4)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	a, _ := Simulate(pr, s, Config{Slots: 50, Seed: 1})
 	b, _ := Simulate(pr, s, Config{Slots: 50, Seed: 2})
 	if a.Failures.Mean() == b.Failures.Mean() && a.Failures.Variance() == b.Failures.Variance() {
@@ -131,7 +131,7 @@ func TestSimulateFeasibleScheduleRespectsEpsilon(t *testing.T) {
 	// A fading-aware schedule guarantees each link ≥ 1−ε success, so
 	// the per-link empirical failure rate must stay near or below ε.
 	pr := denseProblem(t, 200, 5)
-	s := (sched.RLE{}).Schedule(pr)
+	s := sched.Run(sched.RLE{}, pr)
 	if s.Len() == 0 {
 		t.Fatal("RLE scheduled nothing")
 	}
@@ -168,7 +168,7 @@ func BenchmarkSimulate100Links100Slots(b *testing.B) {
 		b.Fatal(err)
 	}
 	pr := sched.MustNewProblem(ls, radio.DefaultParams())
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(pr, s, Config{Slots: 100, Seed: uint64(i)}); err != nil {

@@ -15,7 +15,7 @@ import (
 
 func TestCoherenceOneMatchesDefault(t *testing.T) {
 	pr := denseProblem(t, 60, 4)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	a, err := Simulate(pr, s, Config{Slots: 80, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestBlockFadingPreservesMeanRaisesVariance(t *testing.T) {
 		t.Skip("skipped in -short mode")
 	}
 	pr := denseProblem(t, 80, 6)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	const slots = 4000
 	iid, err := Simulate(pr, s, Config{Slots: slots, Seed: 7})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestBlockFadingSlotsWithinBlockIdentical(t *testing.T) {
 	// With one block covering all slots, every slot sees the same
 	// channel, so the failure count is constant across slots.
 	pr := denseProblem(t, 50, 9)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	res, err := Simulate(pr, s, Config{Slots: 32, Seed: 3, CoherenceSlots: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestBlockFadingSlotsWithinBlockIdentical(t *testing.T) {
 
 func TestBlockFadingDeterministicAcrossWorkers(t *testing.T) {
 	pr := denseProblem(t, 60, 2)
-	s := (sched.ApproxDiversity{}).Schedule(pr)
+	s := sched.Run(sched.ApproxDiversity{}, pr)
 	base, err := Simulate(pr, s, Config{Slots: 50, Seed: 4, CoherenceSlots: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func assertEditorMatchesFresh(t *testing.T, ed *Editor, opts ...sched.Option) {
 			continue
 		}
 		a, _ := sched.Lookup(name)
-		want := a.Schedule(fresh)
+		want := sched.Run(a, fresh)
 		have := ed.Prepared().Schedule(a)
 		if !have.Equal(want) {
 			t.Fatalf("%s: editor %v ≠ fresh %v", name, have, want)

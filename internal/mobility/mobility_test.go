@@ -152,7 +152,7 @@ func TestScheduleStalenessDegrades(t *testing.T) {
 	}
 	params := radio.DefaultParams()
 	pr0 := sched.MustNewProblem(ls, params)
-	stale := (sched.RLE{}).Schedule(pr0)
+	stale := sched.Run(sched.RLE{}, pr0)
 	if !sched.Feasible(pr0, stale) {
 		t.Fatal("fresh schedule infeasible")
 	}
@@ -165,7 +165,7 @@ func TestScheduleStalenessDegrades(t *testing.T) {
 		}
 		prNow := sched.MustNewProblem(snap, params)
 		staleEF += sched.ExpectedFailures(prNow, stale)
-		fresh := (sched.RLE{}).Schedule(prNow)
+		fresh := sched.Run(sched.RLE{}, prNow)
 		if !sched.Feasible(prNow, fresh) {
 			t.Fatalf("step %d: rescheduling infeasible", step)
 		}

@@ -68,7 +68,7 @@ func TestRebindThenDeriveSiblings(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := sib.Schedule(sched.Greedy{})
-			want := (sched.Greedy{}).Schedule(fresh)
+			want := sched.Run(sched.Greedy{}, fresh)
 			if !got.Equal(want) {
 				t.Fatalf("step %d eps %v: derived-after-rebind %v ≠ fresh %v", step, eps, got, want)
 			}
@@ -109,7 +109,7 @@ func TestTrackerInterleavedRebindSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (sched.Greedy{}).Schedule(fresh); !sch.Equal(want) {
+		if want := sched.Run(sched.Greedy{}, fresh); !sch.Equal(want) {
 			t.Fatalf("step %d: interleaved %v ≠ fresh %v", step, sch, want)
 		}
 	}

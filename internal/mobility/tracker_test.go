@@ -73,8 +73,8 @@ func TestTrackerMatchesFreshProblem(t *testing.T) {
 						}
 					}
 				}
-				gs := (sched.Greedy{}).Schedule(got)
-				fs := (sched.Greedy{}).Schedule(fresh)
+				gs := sched.Run(sched.Greedy{}, got)
+				fs := sched.Run(sched.Greedy{}, fresh)
 				if len(gs.Active) != len(fs.Active) {
 					t.Fatalf("step %d: tracked schedule %d links, fresh %d",
 						step, len(gs.Active), len(fs.Active))
@@ -158,7 +158,7 @@ func TestTrackerPreparedMatchesFresh(t *testing.T) {
 		}
 		for _, a := range algos {
 			got := prep.Schedule(a)
-			want := a.Schedule(fresh)
+			want := sched.Run(a, fresh)
 			if !got.Equal(want) {
 				t.Fatalf("step %d %s: tracked %v ≠ fresh %v", step, a.Name(), got, want)
 			}

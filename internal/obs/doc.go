@@ -1,6 +1,5 @@
 // Package obs is the repository's unified observability layer: a typed
-// metrics registry with Prometheus text exposition and an expvar
-// bridge, a nil-safe solver Tracer threaded through contexts, and
+// metrics registry with Prometheus text exposition, a nil-safe solver Tracer threaded through contexts, and
 // log/slog helpers that correlate every log line with a per-request
 // trace ID.
 //

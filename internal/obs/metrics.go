@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -46,28 +45,13 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histWindow is the sliding sample window a Histogram keeps alongside
-// its buckets, feeding the quantile estimates the expvar bridge
-// reports. Sized like the latency ring it replaced in
-// internal/server: large enough for stable p99, small enough that the
-// quantiles track the current load mix.
-const histWindow = 1024
-
-// Histogram is a fixed-bucket cumulative histogram plus a sliding
-// sample window. Observe is lock-free on the bucket side (atomics) and
-// takes a short mutex for the window; scrapes snapshot under that
-// mutex and do all sorting outside it, so a slow scrape never stalls
-// recording.
+// Histogram is a fixed-bucket cumulative histogram. Observe is
+// lock-free (atomics only), so a scrape never stalls recording.
 type Histogram struct {
 	bounds  []float64       // ascending upper bounds
 	counts  []atomic.Uint64 // len(bounds)+1; last is +Inf
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-add
-
-	mu     sync.Mutex
-	ring   [histWindow]float64
-	next   int
-	filled int
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -95,13 +79,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.mu.Lock()
-	h.ring[h.next] = v
-	h.next = (h.next + 1) % histWindow
-	if h.filled < histWindow {
-		h.filled++
-	}
-	h.mu.Unlock()
 }
 
 // Count returns the all-time observation count.
@@ -112,18 +89,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 // UpperBounds returns the bucket upper bounds (excluding +Inf).
 func (h *Histogram) UpperBounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// Sample returns a copy of the sliding window of recent observations,
-// unordered. The snapshot is taken under the window lock; callers sort
-// or aggregate outside it (quantile estimation lives in the caller so
-// this package stays dependency-free).
-func (h *Histogram) Sample() []float64 {
-	h.mu.Lock()
-	out := make([]float64, h.filled)
-	copy(out, h.ring[:h.filled])
-	h.mu.Unlock()
-	return out
-}
 
 // cumulative returns the per-bucket cumulative counts aligned with
 // UpperBounds plus the +Inf total as the final element.
@@ -269,7 +234,10 @@ func labelKey(labels []Label) string {
 	return sb.String()
 }
 
-func (r *Registry) register(name, help string, kind metricKind, labels []Label) *entry {
+// register finds or creates the entry for (name, labels) and runs fill
+// on it under the registry lock, so concurrent first uses of one series
+// create its metric exactly once and scrapes never see it half-built.
+func (r *Registry) register(name, help string, kind metricKind, labels []Label, fill func(*entry)) *entry {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -285,50 +253,50 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	}
 	labels = f.clampLabels(labels, r.labelLimit)
 	key := labelKey(labels)
-	if e, ok := f.byKey[key]; ok {
-		return e
+	e, ok := f.byKey[key]
+	if !ok {
+		e = &entry{labels: append([]Label(nil), labels...)}
+		f.byKey[key] = e
+		f.entries = append(f.entries, e)
 	}
-	e := &entry{labels: append([]Label(nil), labels...)}
-	f.byKey[key] = e
-	f.entries = append(f.entries, e)
+	fill(e)
 	return e
 }
 
 // Counter registers (or returns the existing) counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	e := r.register(name, help, counterKind, labels)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.register(name, help, counterKind, labels, func(e *entry) {
+		if e.c == nil {
+			e.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	e := r.register(name, help, gaugeKind, labels)
-	if e.g == nil && e.gf == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.register(name, help, gaugeKind, labels, func(e *entry) {
+		if e.g == nil && e.gf == nil {
+			e.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a computed gauge: fn is called at scrape time.
 // fn must be safe for concurrent use and must not call back into the
 // registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	e := r.register(name, help, gaugeKind, labels)
-	e.gf = fn
+	r.register(name, help, gaugeKind, labels, func(e *entry) { e.gf = fn })
 }
 
 // Histogram registers (or returns the existing) histogram with the
 // given ascending bucket upper bounds (nil = DefBuckets). A +Inf
 // bucket is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	e := r.register(name, help, histogramKind, labels)
-	if e.h == nil {
-		e.h = newHistogram(buckets)
-	}
-	return e.h
+	return r.register(name, help, histogramKind, labels, func(e *entry) {
+		if e.h == nil {
+			e.h = newHistogram(buckets)
+		}
+	}).h
 }
 
 // snapshot copies the family/entry structure under the lock so
@@ -344,37 +312,4 @@ func (r *Registry) snapshot() []*family {
 		out[i] = cp
 	}
 	return out
-}
-
-// Expvar returns an expvar.Var rendering the registry as one JSON
-// object: counters and gauges as numbers, histograms as
-// {"count":N,"sum":S}. Labeled series key as name{k=v,...}. This is
-// the bridge that lets a stock /debug/vars scraper see obs metrics.
-func (r *Registry) Expvar() expvar.Var {
-	return expvar.Func(func() interface{} {
-		out := map[string]interface{}{}
-		for _, f := range r.snapshot() {
-			for _, e := range f.entries {
-				key := f.name
-				if len(e.labels) > 0 {
-					parts := make([]string, len(e.labels))
-					for i, l := range e.labels {
-						parts[i] = l.Key + "=" + l.Value
-					}
-					key += "{" + strings.Join(parts, ",") + "}"
-				}
-				switch {
-				case e.c != nil:
-					out[key] = e.c.Value()
-				case e.gf != nil:
-					out[key] = e.gf()
-				case e.g != nil:
-					out[key] = e.g.Value()
-				case e.h != nil:
-					out[key] = map[string]interface{}{"count": e.h.Count(), "sum": e.h.Sum()}
-				}
-			}
-		}
-		return out
-	})
 }

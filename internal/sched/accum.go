@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/radio"
+
 // Accum is the incremental feasibility accumulator every scheduler
 // maintains its working interference state in. It tracks, per receiver
 // j, the conservative load
@@ -173,6 +175,23 @@ func (a *Accum) Contribution(i, j int) float64 {
 		return a.tail[j] * a.field.PowerOf(i)
 	}
 	return 0
+}
+
+// admits is Corollary 3.1's insertion test, the one feasibility check
+// every inserting scheduler applies: sender i may join the active set
+// (listed in active) iff its own receiver is informed under the current
+// set and every active receiver stays informed with i added. Informed
+// applies the same rounding slack as Verify.
+func (a *Accum) admits(p radio.Params, i int, active []int) bool {
+	if !p.Informed(a.Load(i)) {
+		return false
+	}
+	for _, j := range active {
+		if !p.Informed(a.Load(j) + a.Contribution(i, j)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns an independent copy sharing the immutable field and

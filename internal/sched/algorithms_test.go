@@ -34,7 +34,7 @@ func TestFadingAlgorithmsAlwaysFeasible(t *testing.T) {
 				}
 				pr := MustNewProblem(ls, params)
 				for _, a := range fadingAlgorithms() {
-					s := a.Schedule(pr)
+					s := Run(a, pr)
 					if v := Verify(pr, s); len(v) != 0 {
 						t.Errorf("α=%v n=%d seed=%d %s: %d violations, first: %v",
 							alpha, n, seed, a.Name(), len(v), v[0])
@@ -54,7 +54,7 @@ func TestFadingAlgorithmsFeasibleOnClustered(t *testing.T) {
 	}
 	pr := MustNewProblem(ls, radio.DefaultParams())
 	for _, a := range fadingAlgorithms() {
-		s := a.Schedule(pr)
+		s := Run(a, pr)
 		if !Feasible(pr, s) {
 			t.Errorf("%s infeasible on clustered deployment", a.Name())
 		}
@@ -65,11 +65,11 @@ func TestAlgorithmsNonEmptyAndDeterministic(t *testing.T) {
 	pr := paperProblem(t, 80, 9)
 	algos := append(fadingAlgorithms(), ApproxLogN{}, ApproxDiversity{})
 	for _, a := range algos {
-		s1 := a.Schedule(pr)
+		s1 := Run(a, pr)
 		if s1.Len() == 0 {
 			t.Errorf("%s scheduled nothing on a feasible instance", a.Name())
 		}
-		s2 := a.Schedule(pr)
+		s2 := Run(a, pr)
 		if s1.Len() != s2.Len() {
 			t.Errorf("%s nondeterministic: %d vs %d links", a.Name(), s1.Len(), s2.Len())
 			continue
@@ -87,7 +87,7 @@ func TestAlgorithmsOnSingleLink(t *testing.T) {
 	pr := sparseProblem(t, 1)
 	algos := append(fadingAlgorithms(), ApproxLogN{}, ApproxDiversity{}, Exact{})
 	for _, a := range algos {
-		s := a.Schedule(pr)
+		s := Run(a, pr)
 		if s.Len() != 1 || s.Active[0] != 0 {
 			t.Errorf("%s on single link: %v", a.Name(), s.Active)
 		}
@@ -98,7 +98,7 @@ func TestAlgorithmsOnEmptyInstance(t *testing.T) {
 	pr := MustNewProblem(network.MustNewLinkSet(nil), radio.DefaultParams())
 	algos := append(fadingAlgorithms(), ApproxLogN{}, ApproxDiversity{}, Exact{})
 	for _, a := range algos {
-		if s := a.Schedule(pr); s.Len() != 0 {
+		if s := Run(a, pr); s.Len() != 0 {
 			t.Errorf("%s scheduled %d links on empty instance", a.Name(), s.Len())
 		}
 	}
@@ -113,12 +113,12 @@ func TestAllAlgorithmsScheduleAllWhenSparse(t *testing.T) {
 	pr := sparseProblem(t, 6)
 	full := []Algorithm{RLE{}, Greedy{}, Exact{}, ApproxDiversity{}, DLS{Seed: 3}}
 	for _, a := range full {
-		if s := a.Schedule(pr); s.Len() != 6 {
+		if s := Run(a, pr); s.Len() != 6 {
 			t.Errorf("%s scheduled %d of 6 independent links", a.Name(), s.Len())
 		}
 	}
 	for _, a := range []Algorithm{LDP{}, ApproxLogN{}} {
-		if s := a.Schedule(pr); s.Len() < 3 {
+		if s := Run(a, pr); s.Len() < 3 {
 			t.Errorf("%s scheduled only %d of 6 independent links", a.Name(), s.Len())
 		}
 	}
@@ -135,7 +135,7 @@ func TestRLEContainsGlobalShortestLink(t *testing.T) {
 				shortest = i
 			}
 		}
-		if s := (RLE{}).Schedule(pr); !s.Contains(shortest) {
+		if s := Run(RLE{}, pr); !s.Contains(shortest) {
 			t.Errorf("seed %d: RLE schedule misses the shortest link %d", seed, shortest)
 		}
 	}
@@ -150,9 +150,9 @@ func TestRLEC2Tradeoff(t *testing.T) {
 	const trials = 5
 	for seed := uint64(1); seed <= trials; seed++ {
 		pr := paperProblem(t, 150, seed)
-		lo := (RLE{C2: 0.1}).Schedule(pr)
-		mid := (RLE{}).Schedule(pr)
-		hi := (RLE{C2: 0.9}).Schedule(pr)
+		lo := Run(RLE{C2: 0.1}, pr)
+		mid := Run(RLE{}, pr)
+		hi := Run(RLE{C2: 0.9}, pr)
 		for _, s := range []Schedule{lo, mid, hi} {
 			if !Feasible(pr, s) {
 				t.Fatalf("seed %d: %s infeasible", seed, s.Algorithm)
@@ -175,7 +175,7 @@ func TestLDPPicksHeaviestReceiverPerSquare(t *testing.T) {
 		{Sender: geom.Point{X: 0, Y: 5}, Receiver: geom.Point{X: 10, Y: 5}, Rate: 3},
 	}
 	pr := MustNewProblem(network.MustNewLinkSet(links), radio.DefaultParams())
-	s := (LDP{}).Schedule(pr)
+	s := Run(LDP{}, pr)
 	if !s.Contains(1) {
 		t.Errorf("LDP dropped the rate-3 link: %v", s.Active)
 	}
@@ -191,8 +191,8 @@ func TestLDPNestedAtLeastAsGoodAsBanded(t *testing.T) {
 	// the best nested candidate is at least the best banded candidate.
 	for seed := uint64(1); seed <= 8; seed++ {
 		pr := paperProblem(t, 200, seed)
-		nested := (LDP{}).Schedule(pr).Throughput(pr)
-		banded := (LDP{Banded: true}).Schedule(pr).Throughput(pr)
+		nested := Run(LDP{}, pr).Throughput(pr)
+		banded := Run(LDP{Banded: true}, pr).Throughput(pr)
 		if nested < banded {
 			t.Errorf("seed %d: nested %v < banded %v", seed, nested, banded)
 		}
@@ -207,7 +207,7 @@ func TestBaselinesDeterministicallyFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		pr := paperProblem(t, 150, seed)
 		for _, a := range []Algorithm{ApproxLogN{}, ApproxDiversity{}} {
-			s := a.Schedule(pr)
+			s := Run(a, pr)
 			for _, j := range s.Active {
 				dijs := make([]float64, 0, s.Len()-1)
 				for _, i := range s.Active {
@@ -229,9 +229,9 @@ func TestBaselinesOverpackUnderFading(t *testing.T) {
 	// baselines schedule more links than the fading-aware algorithms
 	// and at least one baseline schedule violates the fading budget.
 	pr := paperProblem(t, 300, 42)
-	rle := (RLE{}).Schedule(pr)
-	logn := (ApproxLogN{}).Schedule(pr)
-	div := (ApproxDiversity{}).Schedule(pr)
+	rle := Run(RLE{}, pr)
+	logn := Run(ApproxLogN{}, pr)
+	div := Run(ApproxDiversity{}, pr)
 	if div.Len() <= rle.Len() {
 		t.Errorf("ApproxDiversity (%d) should out-pack RLE (%d)", div.Len(), rle.Len())
 	}
@@ -242,14 +242,14 @@ func TestBaselinesOverpackUnderFading(t *testing.T) {
 
 func TestDLSSeedSensitivityAndDeterminism(t *testing.T) {
 	pr := paperProblem(t, 120, 11)
-	a := (DLS{Seed: 1}).Schedule(pr)
-	b := (DLS{Seed: 1}).Schedule(pr)
+	a := Run(DLS{Seed: 1}, pr)
+	b := Run(DLS{Seed: 1}, pr)
 	if a.String() != b.String() {
 		t.Error("DLS not deterministic for fixed seed")
 	}
 	diff := false
 	for seed := uint64(2); seed <= 6; seed++ {
-		if (DLS{Seed: seed}).Schedule(pr).String() != a.String() {
+		if Run(DLS{Seed: seed}, pr).String() != a.String() {
 			diff = true
 			break
 		}
@@ -261,8 +261,8 @@ func TestDLSSeedSensitivityAndDeterminism(t *testing.T) {
 
 func TestDLSRespectsRoundLimit(t *testing.T) {
 	pr := paperProblem(t, 80, 13)
-	one := DLS{Seed: 2, Rounds: 1}.Schedule(pr)
-	many := DLS{Seed: 2, Rounds: 64}.Schedule(pr)
+	one := Run(DLS{Seed: 2, Rounds: 1}, pr)
+	many := Run(DLS{Seed: 2, Rounds: 64}, pr)
 	if !Feasible(pr, one) || !Feasible(pr, many) {
 		t.Fatal("round-limited DLS infeasible")
 	}
@@ -279,8 +279,8 @@ func TestGreedyBeatsNothingButIsFeasible(t *testing.T) {
 	var g, r float64
 	for seed := uint64(1); seed <= 6; seed++ {
 		pr := paperProblem(t, 150, seed)
-		g += (Greedy{}).Schedule(pr).Throughput(pr)
-		r += (RLE{}).Schedule(pr).Throughput(pr)
+		g += Run(Greedy{}, pr).Throughput(pr)
+		r += Run(RLE{}, pr).Throughput(pr)
 	}
 	if g < r {
 		t.Errorf("greedy total %v below RLE %v across seeds", g, r)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -18,19 +19,17 @@ type ApproxLogN struct{}
 // Name implements Algorithm.
 func (ApproxLogN) Name() string { return "approxlogn" }
 
-// Schedule implements Algorithm.
-func (a ApproxLogN) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm via the shared
-// diversity-partition core (same phases and counters as LDP).
-func (ApproxLogN) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
+// Solve implements Algorithm via the shared diversity-partition core
+// (same phases and counters as LDP).
+func (ApproxLogN) Solve(ctx context.Context, pr *Problem, _ *Scratch, _ []int) (Schedule, error) {
+	tr := obs.TracerFrom(ctx)
 	sp := tr.StartPhase("classes")
 	budget, spread, usable := pr.detHeadroom()
 	classes := filterClasses(pr.Links.BandedLengthClasses(), usable)
 	beta := detBetaFor(pr.Params, budget, spread)
 	sp.End()
 	best := gridPartitionBest(pr, classes, beta, tr)
-	return NewSchedule("approxlogn", best)
+	return NewSchedule("approxlogn", best), nil
 }
 
 // ApproxDiversity is the deterministic-SINR shortest-link-first
@@ -51,18 +50,9 @@ func (a ApproxDiversity) Name() string {
 	return fmt.Sprintf("approxdiversity-c2=%v", a.C2)
 }
 
-// Schedule implements Algorithm.
-func (a ApproxDiversity) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm via the shared elimination
-// core (same phases and counters as RLE).
-func (a ApproxDiversity) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
-
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch).
-func (a ApproxDiversity) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// Solve implements Algorithm via the shared elimination core (same
+// phases and counters as RLE).
+func (a ApproxDiversity) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	c2 := a.C2
 	if c2 == 0 {
 		c2 = DefaultC2
@@ -73,8 +63,8 @@ func (a ApproxDiversity) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Trac
 		budget: c2 * budget, // c₂ share of the deterministic budget
 		accum:  scr.detAccumFor(pr),
 		usable: usable,
-	}, tr, scr)
-	return finishSchedule(a.Name(), active, dst)
+	}, obs.TracerFrom(ctx), scr)
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // detAccum adapts the deterministic-SINR relative gain to the

@@ -7,38 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// ContextAlgorithm is implemented by algorithms whose search can be
-// aborted mid-solve. ScheduleContext returns ctx.Err() when the
-// context is canceled before the schedule is complete; the partial
-// work is discarded (schedules are all-or-nothing — a half-explored
-// branch-and-bound tree proves nothing about optimality, and a
-// half-run protocol round may be infeasible).
-//
-// The polynomial algorithms (LDP, RLE, the baselines, Greedy) finish
-// in milliseconds even at deployment scale and intentionally do not
-// implement this interface; only the solvers with unbounded or
-// round-structured running time (Exact, DLS) do. Context-aware
-// algorithms read their obs.Tracer from the context themselves.
-type ContextAlgorithm interface {
-	Algorithm
-	ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error)
-}
-
-// TracedAlgorithm is implemented by the polynomial algorithms: they
-// cannot be aborted mid-solve (see ContextAlgorithm) but do report
-// per-phase wall times and counters to a tracer. ScheduleTraced with a
-// nil tracer must behave identically to Schedule — the nil path is the
-// production fast path and is benchmarked to zero overhead.
-type TracedAlgorithm interface {
-	Algorithm
-	ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule
-}
-
-// ScheduleContext runs a on pr honoring ctx. Context-aware algorithms
-// abort mid-solve; for plain algorithms the context is checked before
-// the (fast, polynomial) solve starts and the result is discarded if
-// the context expired while it ran, so a caller never receives a
-// schedule after its deadline.
+// ScheduleContext runs a on pr honoring ctx. The context is checked
+// before the solve starts and again after it returns, so a caller never
+// receives a schedule after its deadline; algorithms with unbounded or
+// round-structured running time (Exact, DLS) additionally abort
+// mid-solve.
 //
 // When ctx carries an obs.Tracer (obs.WithTracer), the solve is
 // traced: the dispatcher records the algorithm name, instance size,
@@ -48,36 +21,22 @@ func ScheduleContext(ctx context.Context, a Algorithm, pr *Problem) (Schedule, e
 	return scheduleWith(ctx, a, pr, nil, nil)
 }
 
-// scratchAlgorithm is implemented by the polynomial algorithms whose
-// inner loops run off a Scratch workspace (Greedy, RLE,
-// ApproxDiversity). dst receives the active set (append into dst[:0];
-// nil allocates fresh — the legacy behavior).
-type scratchAlgorithm interface {
-	Algorithm
-	scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule
+// Run solves pr with a under a background context, the form for
+// callers without a deadline. Under a context that is never canceled
+// the registered algorithms cannot fail, so an error here is a program
+// bug and panics; use ScheduleContext to receive errors instead.
+func Run(a Algorithm, pr *Problem) Schedule {
+	s, err := ScheduleContext(context.Background(), a, pr)
+	if err != nil {
+		panic("sched: " + a.Name() + " solve failed: " + err.Error())
+	}
+	return s
 }
 
-// scratchContextAlgorithm is the context-aware counterpart (DLS).
-type scratchContextAlgorithm interface {
-	Algorithm
-	scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error)
-}
-
-var (
-	_ scratchAlgorithm        = Greedy{}
-	_ scratchAlgorithm        = RLE{}
-	_ scratchAlgorithm        = ApproxDiversity{}
-	_ scratchAlgorithm        = Sharded{}
-	_ scratchContextAlgorithm = DLS{}
-	_ Shardable               = Sharded{}
-)
-
-// scheduleWith is the shared dispatcher behind ScheduleContext and
-// Prepared: scratch-capable algorithms run off the supplied workspace
-// (or a fresh one when scr is nil, reproducing the legacy allocation
-// profile); everything else takes its historical path. Exactly one
-// implementation of each algorithm exists — the prepared and plain
-// entry points produce bit-identical schedules by construction.
+// scheduleWith is the one dispatcher behind Run, ScheduleContext and
+// Prepared: it runs a.Solve off the supplied workspace (or a fresh one
+// when scr is nil, the non-prepared allocation profile) between the
+// two context checks, and records the dispatcher's tracer counters.
 func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
@@ -90,39 +49,15 @@ func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, d
 			tr.Count(obs.KeyFieldPairs, int64(sp.StoredPairs()))
 		}
 	}
-	var s Schedule
-	switch impl := a.(type) {
-	case scratchContextAlgorithm:
-		if scr == nil {
-			scr = new(Scratch)
-		}
-		var err error
-		if s, err = impl.scheduleScratchContext(ctx, pr, scr, dst); err != nil {
-			return Schedule{}, err
-		}
-	case scratchAlgorithm:
-		if scr == nil {
-			scr = new(Scratch)
-		}
-		s = impl.scheduleScratch(pr, scr, tr, dst)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
-	case ContextAlgorithm:
-		var err error
-		if s, err = impl.ScheduleContext(ctx, pr); err != nil {
-			return Schedule{}, err
-		}
-	case TracedAlgorithm:
-		s = impl.ScheduleTraced(pr, tr)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
-	default:
-		s = a.Schedule(pr)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
+	if scr == nil {
+		scr = new(Scratch)
+	}
+	s, err := a.Solve(ctx, pr, scr, dst)
+	if err != nil {
+		return Schedule{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Schedule{}, err
 	}
 	tr.Count(obs.KeyScheduled, int64(s.Len()))
 	return s, nil

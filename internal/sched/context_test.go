@@ -33,7 +33,7 @@ func TestExactAbortsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	s, err := Exact{MaxN: 64}.ScheduleContext(ctx, pr)
+	s, err := ScheduleContext(ctx, Exact{MaxN: 64}, pr)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -56,8 +56,8 @@ func TestExactContextCompletesAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := MustNewProblem(ls, radio.DefaultParams())
-	plain := Exact{}.Schedule(pr)
-	withCtx, err := Exact{}.ScheduleContext(context.Background(), pr)
+	plain := Run(Exact{}, pr)
+	withCtx, err := ScheduleContext(context.Background(), Exact{}, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDLSAbortsBetweenRounds(t *testing.T) {
 	pr := MustNewProblem(ls, radio.DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := DLS{Seed: 1}.ScheduleContext(ctx, pr)
+	s, err := ScheduleContext(ctx, DLS{Seed: 1}, pr)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -99,7 +99,7 @@ func TestScheduleContextPlainAlgorithms(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		a, _ := Lookup(name)
-		if want := a.Schedule(pr); want.Throughput(pr) != s.Throughput(pr) {
+		if want := Run(a, pr); want.Throughput(pr) != s.Throughput(pr) {
 			t.Errorf("%s: SolveContext result differs from Schedule", name)
 		}
 	}

@@ -59,31 +59,18 @@ const (
 	dlsGaveUp
 )
 
-// Schedule implements Algorithm.
-func (a DLS) Schedule(pr *Problem) Schedule {
-	s, _ := a.ScheduleContext(context.Background(), pr) // Background never cancels
-	return s
-}
-
-// ScheduleContext implements ContextAlgorithm: cancellation is checked
-// at each synchronous round boundary — the natural preemption point of
-// the protocol, since a half-executed round may leave the tentative
-// set infeasible. On cancellation ctx.Err() is returned and the
-// partial active set is discarded.
+// Solve implements Algorithm: cancellation is checked at each
+// synchronous round boundary — the natural preemption point of the
+// protocol, since a half-executed round may leave the tentative set
+// infeasible. On cancellation ctx.Err() is returned and the partial
+// active set is discarded. All per-round state — priorities, winner
+// lists, the tentative accumulator — lives in the scratch, so the
+// protocol's round loop stops churning slices once the scratch is warm.
 //
 // When ctx carries an obs.Tracer the protocol reports the rounds it
 // actually ran (quiescence can end it early), total round winners,
 // NACK backoffs, and links that gave up.
-func (a DLS) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error) {
-	return a.scheduleScratchContext(ctx, pr, new(Scratch), nil)
-}
-
-// scheduleScratchContext is the single implementation behind both
-// entry points (see Greedy.scheduleScratch): all per-round state —
-// priorities, winner lists, the tentative accumulator — lives in the
-// scratch, so the protocol's round loop stops churning slices once the
-// scratch is warm.
-func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+func (a DLS) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	tr := obs.TracerFrom(ctx)
 	sp := tr.StartPhase("rounds")
 	defer sp.End()

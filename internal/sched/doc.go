@@ -15,8 +15,11 @@
 //   - Exact, a parallel branch-and-bound solver of the ILP formulation
 //     (Eqs. 20–22) used to measure empirical approximation ratios.
 //
-// All algorithms consume a Problem (instance + radio parameters) and
-// produce a Schedule; Verify re-checks any schedule against the
+// All algorithms implement one contract, Algorithm (Name and Solve),
+// and are run through Run, ScheduleContext or a Prepared handle. They
+// consume a Problem (instance + radio parameters) and produce a
+// Schedule; Greedy, the sharded merge and Exact's branch step all admit
+// links through the one Corollary 3.1 insertion test. Verify re-checks any schedule against the
 // Corollary 3.1 feasibility condition independently of how it was
 // constructed, so algorithm bugs cannot hide behind their own
 // bookkeeping.

@@ -39,24 +39,12 @@ const DefaultExactMaxN = 26
 // Name implements Algorithm.
 func (Exact) Name() string { return "exact" }
 
-// Schedule implements Algorithm.
-func (e Exact) Schedule(pr *Problem) Schedule {
-	s, err := e.ScheduleContext(context.Background(), pr)
-	if err != nil {
-		// Background is never canceled; any other failure mode panics
-		// inside the search.
-		panic("sched: exact solve failed: " + err.Error())
-	}
-	return s
-}
-
-// ScheduleContext implements ContextAlgorithm: the branch-and-bound
-// workers poll a shared stop flag raised when ctx is canceled, so an
-// abandoned request stops burning cores within a few thousand nodes
-// (microseconds). On cancellation the incumbent is discarded — a
-// partially explored tree carries no optimality certificate — and
-// ctx.Err() is returned.
-func (e Exact) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error) {
+// Solve implements Algorithm: the branch-and-bound workers poll a
+// shared stop flag raised when ctx is canceled, so an abandoned request
+// stops burning cores within a few thousand nodes (microseconds). On
+// cancellation the incumbent is discarded — a partially explored tree
+// carries no optimality certificate — and ctx.Err() is returned.
+func (e Exact) Solve(ctx context.Context, pr *Problem, scr *Scratch, _ []int) (Schedule, error) {
 	maxN := e.MaxN
 	if maxN == 0 {
 		maxN = DefaultExactMaxN
@@ -64,7 +52,7 @@ func (e Exact) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, erro
 	if pr.N() > maxN {
 		panic("sched: Exact solver refused instance larger than MaxN; use the approximation algorithms")
 	}
-	best, err := exactSolve(ctx, pr, e.splitDepth(pr.N()), obs.TracerFrom(ctx))
+	best, err := exactSolve(ctx, pr, scr, e.splitDepth(pr.N()), obs.TracerFrom(ctx))
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -133,7 +121,7 @@ func (st *exactState) bound() float64 {
 	return st.bestRate
 }
 
-func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer) ([]int, error) {
+func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, tr *obs.Tracer) ([]int, error) {
 	n := pr.N()
 	if n == 0 {
 		return nil, nil
@@ -163,7 +151,7 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 	unregister := context.AfterFunc(ctx, func() { st.stop.Store(true) })
 	defer unregister()
 	// Seed the incumbent with Greedy so pruning bites immediately.
-	seed := (Greedy{}).Schedule(pr)
+	seed := greedySolve(pr, scr, Selection{}, nil, nil)
 	st.offer(seed.Throughput(pr), seed.Active)
 
 	// Enumerate the 2^splitDepth assignments of the first splitDepth
@@ -235,13 +223,8 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 // add-and-undo, so backtracking is bit-exact (a remove only restores
 // the value, not necessarily the bits, near the feasibility slack).
 func tryInclude(pr *Problem, set []int, acc *Accum, i int) (*Accum, bool) {
-	if !pr.Params.Informed(acc.Load(i)) {
+	if !acc.admits(pr.Params, i, set) {
 		return nil, false
-	}
-	for _, j := range set {
-		if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-			return nil, false
-		}
 	}
 	ni := acc.Clone()
 	ni.AddLink(i)

@@ -50,7 +50,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			pr := smallProblem(t, n, seed, 120)
 			want, _ := bruteForce(pr)
-			s := (Exact{}).Schedule(pr)
+			s := Run(Exact{}, pr)
 			if !Feasible(pr, s) {
 				t.Fatalf("n=%d seed=%d: exact schedule infeasible", n, seed)
 			}
@@ -72,7 +72,7 @@ func TestExactMatchesBruteForceHeterogeneousRates(t *testing.T) {
 		}
 		pr := MustNewProblem(ls, radio.DefaultParams())
 		want, _ := bruteForce(pr)
-		got := (Exact{}).Schedule(pr).Throughput(pr)
+		got := Run(Exact{}, pr).Throughput(pr)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("seed %d: exact %v, brute force %v", seed, got, want)
 		}
@@ -82,9 +82,9 @@ func TestExactMatchesBruteForceHeterogeneousRates(t *testing.T) {
 func TestExactDominatesHeuristics(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		pr := smallProblem(t, 14, seed, 150)
-		opt := (Exact{}).Schedule(pr).Throughput(pr)
+		opt := Run(Exact{}, pr).Throughput(pr)
 		for _, a := range fadingAlgorithms() {
-			if got := a.Schedule(pr).Throughput(pr); got > opt+1e-9 {
+			if got := Run(a, pr).Throughput(pr); got > opt+1e-9 {
 				t.Errorf("seed %d: %s throughput %v exceeds optimum %v", seed, a.Name(), got, opt)
 			}
 		}
@@ -93,9 +93,9 @@ func TestExactDominatesHeuristics(t *testing.T) {
 
 func TestExactSplitDepthInvariance(t *testing.T) {
 	pr := smallProblem(t, 13, 7, 150)
-	base := Exact{SplitDepth: 1}.Schedule(pr).Throughput(pr)
+	base := Run(Exact{SplitDepth: 1}, pr).Throughput(pr)
 	for _, d := range []int{2, 4, 6, 13} {
-		if got := (Exact{SplitDepth: d}.Schedule(pr)).Throughput(pr); math.Abs(got-base) > 1e-9 {
+		if got := (Run(Exact{SplitDepth: d}, pr)).Throughput(pr); math.Abs(got-base) > 1e-9 {
 			t.Errorf("split depth %d changes the optimum: %v vs %v", d, got, base)
 		}
 	}
@@ -108,12 +108,12 @@ func TestExactRefusesHugeInstance(t *testing.T) {
 			t.Error("Exact accepted a 40-link instance")
 		}
 	}()
-	(Exact{}).Schedule(pr)
+	Run(Exact{}, pr)
 }
 
 func TestExactMaxNOverride(t *testing.T) {
 	pr := smallProblem(t, 18, 2, 400)
-	s := Exact{MaxN: 18}.Schedule(pr)
+	s := Run(Exact{MaxN: 18}, pr)
 	if !Feasible(pr, s) {
 		t.Error("exact with raised MaxN returned infeasible schedule")
 	}
@@ -124,8 +124,8 @@ func TestExactMaxNOverride(t *testing.T) {
 func TestTheorem42EmpiricalRatio(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		pr := smallProblem(t, 12, seed, 100)
-		opt := (Exact{}).Schedule(pr).Throughput(pr)
-		ldp := (LDP{}).Schedule(pr).Throughput(pr)
+		opt := Run(Exact{}, pr).Throughput(pr)
+		ldp := Run(LDP{}, pr).Throughput(pr)
 		if ldp == 0 {
 			t.Fatalf("seed %d: LDP scheduled nothing", seed)
 		}
@@ -155,8 +155,8 @@ func TestTheorem44EmpiricalRatio(t *testing.T) {
 	const seeds = 6
 	for seed := uint64(1); seed <= seeds; seed++ {
 		pr := smallProblem(t, 12, seed, 100)
-		opt := (Exact{}).Schedule(pr).Throughput(pr)
-		rle := (RLE{}).Schedule(pr).Throughput(pr)
+		opt := Run(Exact{}, pr).Throughput(pr)
+		rle := Run(RLE{}, pr).Throughput(pr)
 		if rle == 0 {
 			t.Fatalf("seed %d: RLE scheduled nothing", seed)
 		}
@@ -254,7 +254,7 @@ func BenchmarkExact16(b *testing.B) {
 	pr := smallProblem(b, 16, 1, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := (Exact{}).Schedule(pr)
+		s := Run(Exact{}, pr)
 		if s.Len() == 0 {
 			b.Fatal("empty")
 		}
@@ -265,7 +265,7 @@ func BenchmarkLDP300(b *testing.B) {
 	pr := paperProblem(b, 300, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		(LDP{}).Schedule(pr)
+		Run(LDP{}, pr)
 	}
 }
 
@@ -273,7 +273,7 @@ func BenchmarkRLE300(b *testing.B) {
 	pr := paperProblem(b, 300, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		(RLE{}).Schedule(pr)
+		Run(RLE{}, pr)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestAlgorithmsFeasibleUnderNoise(t *testing.T) {
 		}
 		pr := MustNewProblem(ls, noisyParams(n0))
 		for _, a := range fadingAlgorithms() {
-			s := a.Schedule(pr)
+			s := Run(a, pr)
 			if v := Verify(pr, s); len(v) != 0 {
 				t.Errorf("N0=%g %s: %d violations, first %v", n0, a.Name(), len(v), v[0])
 			}
@@ -81,8 +81,8 @@ func TestNoiseReducesThroughput(t *testing.T) {
 		}
 		clean := MustNewProblem(ls, radio.DefaultParams())
 		noisy := MustNewProblem(ls, noisyParams(6e-7))
-		c := (Exact{}).Schedule(clean).Throughput(clean)
-		n := (Exact{}).Schedule(noisy).Throughput(noisy)
+		c := Run(Exact{}, clean).Throughput(clean)
+		n := Run(Exact{}, noisy).Throughput(noisy)
 		if n > c {
 			t.Errorf("seed %d: noise increased the OPTIMUM %v → %v — feasibility not monotone", seed, c, n)
 		}
@@ -95,8 +95,8 @@ func TestNoiseReducesThroughput(t *testing.T) {
 	clean := MustNewProblem(ls, radio.DefaultParams())
 	noisy := MustNewProblem(ls, noisyParams(6e-7))
 	for _, a := range []Algorithm{RLE{}, Greedy{}} {
-		c := a.Schedule(clean).Throughput(clean)
-		n := a.Schedule(noisy).Throughput(noisy)
+		c := Run(a, clean).Throughput(clean)
+		n := Run(a, noisy).Throughput(noisy)
 		if n > c*1.1+1 {
 			t.Errorf("%s: noise raised throughput far beyond heuristic wiggle: %v → %v", a.Name(), c, n)
 		}
@@ -116,7 +116,7 @@ func TestNoiseUnschedulableLinkExcluded(t *testing.T) {
 		t.Fatalf("test setup wrong: noise term %v not above γ_ε", pr.NoiseTerm(1))
 	}
 	for _, a := range append(fadingAlgorithms(), Exact{}) {
-		s := a.Schedule(pr)
+		s := Run(a, pr)
 		if s.Contains(1) {
 			t.Errorf("%s scheduled the noise-dead link", a.Name())
 		}
@@ -136,7 +136,7 @@ func TestExactOptimalUnderNoise(t *testing.T) {
 		}
 		pr := MustNewProblem(ls, noisyParams(3e-7))
 		want, _ := bruteForce(pr)
-		got := (Exact{}).Schedule(pr).Throughput(pr)
+		got := Run(Exact{}, pr).Throughput(pr)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("seed %d: exact %v, brute force %v under noise", seed, got, want)
 		}
@@ -191,7 +191,7 @@ func TestAlgorithmsFeasibleUnderMixedPower(t *testing.T) {
 	}
 	pr := MustNewProblem(ls, radio.DefaultParams())
 	for _, a := range fadingAlgorithms() {
-		s := a.Schedule(pr)
+		s := Run(a, pr)
 		if v := Verify(pr, s); len(v) != 0 {
 			t.Errorf("%s under 8× power spread: %d violations, first %v", a.Name(), len(v), v[0])
 		}
@@ -215,7 +215,7 @@ func TestUniformPowerOverrideEqualsDefault(t *testing.T) {
 	overridden := MustNewProblem(network.MustNewLinkSet(links), radio.DefaultParams())
 	def := MustNewProblem(base, radio.DefaultParams())
 	for _, a := range fadingAlgorithms() {
-		s1, s2 := a.Schedule(def), a.Schedule(overridden)
+		s1, s2 := Run(a, def), Run(a, overridden)
 		if s1.String() != s2.String() {
 			t.Errorf("%s: explicit-default power changed the schedule: %v vs %v", a.Name(), s1, s2)
 		}
@@ -225,7 +225,7 @@ func TestUniformPowerOverrideEqualsDefault(t *testing.T) {
 func TestRepairFixesBaselineSchedules(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		pr := paperProblem(t, 200, seed)
-		raw := (ApproxDiversity{}).Schedule(pr)
+		raw := Run(ApproxDiversity{}, pr)
 		if Feasible(pr, raw) {
 			continue // this seed's baseline got lucky; nothing to test
 		}
@@ -250,7 +250,7 @@ func TestRepairFixesBaselineSchedules(t *testing.T) {
 
 func TestRepairIdempotentOnFeasible(t *testing.T) {
 	pr := paperProblem(t, 120, 2)
-	s := (RLE{}).Schedule(pr)
+	s := Run(RLE{}, pr)
 	r := Repair(pr, s)
 	if r.Len() != s.Len() {
 		t.Errorf("repair modified a feasible schedule: %d → %d", s.Len(), r.Len())
@@ -269,12 +269,12 @@ func TestRepairBeatsBaselineUnderFading(t *testing.T) {
 	var repaired, rle float64
 	for seed := uint64(1); seed <= 5; seed++ {
 		pr := paperProblem(t, 300, seed)
-		f := Repair(pr, (ApproxDiversity{}).Schedule(pr))
+		f := Repair(pr, Run(ApproxDiversity{}, pr))
 		if !Feasible(pr, f) {
 			t.Fatalf("seed %d: repair failed", seed)
 		}
 		repaired += f.Throughput(pr)
-		rle += (RLE{}).Schedule(pr).Throughput(pr)
+		rle += Run(RLE{}, pr).Throughput(pr)
 	}
 	if repaired < rle {
 		t.Logf("note: repaired baseline (%v) below RLE (%v) — acceptable, recorded for the ablation", repaired, rle)

@@ -79,7 +79,7 @@ func TestSparseNeverOverAdmits(t *testing.T) {
 				if _, isExact := a.(Exact); isExact && ls.Len() > 24 {
 					continue
 				}
-				s := a.Schedule(sparse)
+				s := Run(a, sparse)
 				if v := Verify(sparse, s); len(v) != 0 {
 					t.Errorf("seed %d cutoff %v: %s schedule fails its own sparse verify: %v", seed, cutoff, a.Name(), v[0])
 				}
@@ -106,7 +106,7 @@ func TestSparseFullCoverageMatchesDense(t *testing.T) {
 			t.Fatalf("seed %d: cutoff 1e-12 should store all %d pairs, got %d", seed, n*n-n, sf.StoredPairs())
 		}
 		for _, a := range []Algorithm{Greedy{}, RLE{}, DLS{Seed: 1}} {
-			ds, ss := a.Schedule(dense), a.Schedule(sparse)
+			ds, ss := Run(a, dense), Run(a, sparse)
 			if len(ds.Active) != len(ss.Active) {
 				t.Fatalf("seed %d: %s dense %d links, sparse-full %d", seed, a.Name(), len(ds.Active), len(ss.Active))
 			}
@@ -130,8 +130,8 @@ func TestSparseThroughputGapBounded(t *testing.T) {
 		dense := MustNewProblem(ls, p)
 		sparse := MustNewProblem(ls, p, WithSparseField(SparseOptions{}))
 		for _, a := range []Algorithm{Greedy{}, RLE{}} {
-			dt := a.Schedule(dense).Throughput(dense)
-			st := a.Schedule(sparse).Throughput(sparse)
+			dt := Run(a, dense).Throughput(dense)
+			st := Run(a, sparse).Throughput(sparse)
 			if st > dt+1e-9 {
 				t.Errorf("seed %d: %s sparse throughput %v exceeds dense %v — truncation must be conservative", seed, a.Name(), st, dt)
 			}
@@ -142,7 +142,7 @@ func TestSparseThroughputGapBounded(t *testing.T) {
 		// The analytic form of the bound: for the sparse Greedy schedule,
 		// each receiver's sparse-view load exceeds its dense-view load by
 		// at most cutoff·|active|.
-		s := (Greedy{}).Schedule(sparse)
+		s := Run(Greedy{}, sparse)
 		cutoff := DefaultSparseCutoffFrac * p.GammaEps()
 		slack := cutoff*float64(len(s.Active)) + 1e-12
 		for _, j := range s.Active {
@@ -283,7 +283,7 @@ func TestHeadroomAllLinksUnusable(t *testing.T) {
 		}
 	}
 	for _, a := range []Algorithm{LDP{}, RLE{}, DLS{Seed: 1}, ApproxLogN{}, ApproxDiversity{}, Greedy{}} {
-		if s := a.Schedule(pr); s.Len() != 0 {
+		if s := Run(a, pr); s.Len() != 0 {
 			t.Errorf("%s scheduled %d noise-drowned links", a.Name(), s.Len())
 		}
 	}
@@ -351,7 +351,7 @@ func TestSparseScalesPastDenseMatrix(t *testing.T) {
 	if pairs := sf.StoredPairs(); pairs == 0 || pairs > n*n/100 {
 		t.Fatalf("stored pairs %d: want a small positive fraction of the %d dense entries", pairs, n*n)
 	}
-	s := (RLE{}).Schedule(pr)
+	s := Run(RLE{}, pr)
 	if s.Len() < n/100 {
 		t.Fatalf("RLE scheduled only %d of %d links", s.Len(), n)
 	}

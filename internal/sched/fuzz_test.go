@@ -40,7 +40,7 @@ func FuzzSparseNeverOverAdmits(f *testing.F) {
 			t.Fatalf("sparse problem: %v", err)
 		}
 		for _, a := range []Algorithm{Greedy{}, RLE{}, DLS{Seed: seed}} {
-			s := a.Schedule(sparse)
+			s := Run(a, sparse)
 			if v := Verify(sparse, s); len(v) != 0 {
 				t.Fatalf("n=%d cutoff=%v: %s fails its own sparse verify: %v",
 					n, cutoff, a.Name(), v[0])

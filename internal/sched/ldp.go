@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -28,14 +30,12 @@ func (a LDP) Name() string {
 	return "ldp"
 }
 
-// Schedule implements Algorithm.
-func (a LDP) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm: phases "classes" (length
-// decomposition + headroom) and "partition" (grid tiling and candidate
-// selection), counters for length classes, grid cells bucketed, and
-// candidate schedules compared.
-func (a LDP) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
+// Solve implements Algorithm: phases "classes" (length decomposition +
+// headroom) and "partition" (grid tiling and candidate selection),
+// counters for length classes, grid cells bucketed, and candidate
+// schedules compared.
+func (a LDP) Solve(ctx context.Context, pr *Problem, _ *Scratch, _ []int) (Schedule, error) {
+	tr := obs.TracerFrom(ctx)
 	sp := tr.StartPhase("classes")
 	classes := pr.Links.LengthClasses()
 	if a.Banded {
@@ -46,7 +46,7 @@ func (a LDP) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
 	beta := ldpBetaFor(pr.Params, budget, spread)
 	sp.End()
 	best := gridPartitionBest(pr, classes, beta, tr)
-	return NewSchedule(a.Name(), best)
+	return NewSchedule(a.Name(), best), nil
 }
 
 // filterClasses drops class members the headroom analysis marked

@@ -139,7 +139,7 @@ func (pp *Prepared) ScheduleWeightedInto(ctx context.Context, sel Selection, dst
 	}
 	scr := pp.getScratch()
 	defer pp.putScratch(scr)
-	s := Greedy{}.scheduleRestricted(pp.pr, scr, sel, obs.TracerFrom(ctx), dst)
+	s := greedySolve(pp.pr, scr, sel, obs.TracerFrom(ctx), dst)
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
 	}

@@ -97,7 +97,7 @@ func TestPreparedDerive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range []Algorithm{RLE{}, Greedy{}} {
-			want := a.Schedule(fresh)
+			want := Run(a, fresh)
 			got := drv.Schedule(a)
 			if !got.Equal(want) {
 				t.Fatalf("%s eps=%v: derived %v != fresh %v", a.Name(), eps, got.Active, want.Active)
@@ -201,7 +201,7 @@ func TestPreparedRebindRefreshesCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Algorithm{RLE{}, Greedy{}} {
-		want := a.Schedule(fresh)
+		want := Run(a, fresh)
 		got := prep.Schedule(a)
 		if !got.Equal(want) {
 			t.Fatalf("%s after rebind: prepared %v != fresh %v", a.Name(), got.Active, want.Active)
@@ -264,11 +264,11 @@ func TestPreparedSolveZeroAllocs(t *testing.T) {
 }
 
 func scheduleScratchFor(t *testing.T, a Algorithm, prep *Prepared, scr *Scratch, dst []int) Schedule {
-	impl, ok := a.(scratchAlgorithm)
-	if !ok {
-		t.Fatalf("%s is not scratch-capable", a.Name())
+	s, err := a.Solve(context.Background(), prep.Problem(), scr, dst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return impl.scheduleScratch(prep.Problem(), scr, nil, dst)
+	return s
 }
 
 // TestScheduleIntoBuffer checks the dst contract: the active set lands
@@ -290,7 +290,7 @@ func TestScheduleIntoBuffer(t *testing.T) {
 	if &s.Active[0] != &buf[:1][0] {
 		t.Error("ScheduleInto did not reuse the caller's buffer")
 	}
-	want := RLE{}.Schedule(prep.Problem())
+	want := Run(RLE{}, prep.Problem())
 	if !s.Equal(want) {
 		t.Fatalf("ScheduleInto %v != direct %v", s.Active, want.Active)
 	}

@@ -51,7 +51,7 @@ func TestPropertyFadingSchedulesFeasible(t *testing.T) {
 	f := func(seed uint64) bool {
 		pr := quickProblem(seed)
 		for _, a := range []Algorithm{LDP{}, RLE{}, Greedy{}, DLS{Seed: seed}} {
-			if !Feasible(pr, a.Schedule(pr)) {
+			if !Feasible(pr, Run(a, pr)) {
 				t.Logf("seed %d: %s infeasible", seed, a.Name())
 				return false
 			}
@@ -67,7 +67,7 @@ func TestPropertyScheduleIndicesInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		pr := quickProblem(seed)
 		for _, a := range []Algorithm{LDP{}, RLE{}, Greedy{}, ApproxLogN{}, ApproxDiversity{}} {
-			s := a.Schedule(pr)
+			s := Run(a, pr)
 			prev := -1
 			for _, i := range s.Active {
 				if i < 0 || i >= pr.N() || i <= prev {
@@ -89,7 +89,7 @@ func TestPropertyScheduleIndicesInRange(t *testing.T) {
 func TestPropertyFeasibilityDownwardClosed(t *testing.T) {
 	f := func(seed uint64, mask uint32) bool {
 		pr := quickProblem(seed)
-		s := (Greedy{}).Schedule(pr)
+		s := Run(Greedy{}, pr)
 		if !Feasible(pr, s) {
 			return false
 		}
@@ -161,7 +161,7 @@ func TestPropertyILPAgreesOnAlgorithmOutputs(t *testing.T) {
 		pr := quickProblem(seed)
 		ilp := BuildILP(pr)
 		for _, a := range []Algorithm{RLE{}, Greedy{}, ApproxDiversity{}} {
-			s := a.Schedule(pr)
+			s := Run(a, pr)
 			x := make([]bool, pr.N())
 			for _, i := range s.Active {
 				x[i] = true
@@ -183,7 +183,7 @@ func TestPropertyExpectedFailuresBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		pr := quickProblem(seed)
 		for _, a := range []Algorithm{RLE{}, ApproxDiversity{}} {
-			s := a.Schedule(pr)
+			s := Run(a, pr)
 			ef := ExpectedFailures(pr, s)
 			if ef < 0 || ef > float64(s.Len()) {
 				return false
@@ -204,7 +204,7 @@ func TestPropertyVerifyMatchesSuccessProbabilities(t *testing.T) {
 	// ≥ 1−ε (up to the knife edge).
 	f := func(seed uint64) bool {
 		pr := quickProblem(seed)
-		s := (ApproxDiversity{}).Schedule(pr)
+		s := Run(ApproxDiversity{}, pr)
 		probs := SuccessProbabilities(pr, s)
 		viol := map[int]bool{}
 		for _, v := range Verify(pr, s) {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,11 +11,19 @@ import (
 // returns the set of links to activate in the single time slot.
 // Implementations must be deterministic for a given Problem (stochastic
 // algorithms like DLS carry their seed in the value).
+//
+// Solve is the one entry point; callers go through Run,
+// ScheduleContext or a Prepared handle, which check ctx around it and
+// supply the workspace. An implementation reads its tracer with
+// obs.TracerFrom(ctx), may run its inner loops off scr (never nil), and
+// may write the active set into dst[:0] to recycle the caller's buffer.
+// Solves that can run long poll ctx and return ctx.Err() on
+// cancellation, discarding partial work: schedules are all-or-nothing.
 type Algorithm interface {
 	// Name is the registry key and the label used in experiment tables.
 	Name() string
-	// Schedule computes the activation set.
-	Schedule(pr *Problem) Schedule
+	// Solve computes the activation set.
+	Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error)
 }
 
 var (

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -12,8 +13,10 @@ import (
 // namedAlgo is a registry probe with a configurable name.
 type namedAlgo struct{ name string }
 
-func (a namedAlgo) Name() string                  { return a.name }
-func (a namedAlgo) Schedule(pr *Problem) Schedule { return NewSchedule(a.name, nil) }
+func (a namedAlgo) Name() string { return a.name }
+func (a namedAlgo) Solve(context.Context, *Problem, *Scratch, []int) (Schedule, error) {
+	return NewSchedule(a.name, nil), nil
+}
 
 // TestRegistryTable drives Register/Lookup/Names through a table of
 // registration scenarios, including duplicates against both built-in
@@ -90,7 +93,7 @@ func TestRegistryConcurrentSolve(t *testing.T) {
 		if !ok {
 			t.Fatalf("algorithm %q not registered", name)
 		}
-		want[name] = a.Schedule(pr).Active
+		want[name] = Run(a, pr).Active
 	}
 
 	var wg sync.WaitGroup
@@ -106,7 +109,7 @@ func TestRegistryConcurrentSolve(t *testing.T) {
 					t.Errorf("Lookup(%q) failed mid-run", name)
 					return
 				}
-				got := a.Schedule(pr).Active
+				got := Run(a, pr).Active
 				if len(got) != len(want[name]) {
 					t.Errorf("%q nondeterministic under concurrency: %v vs %v", name, got, want[name])
 					return

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -37,18 +38,9 @@ func (a RLE) Name() string {
 	return fmt.Sprintf("rle-c2=%v", a.C2)
 }
 
-// Schedule implements Algorithm.
-func (a RLE) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm: the shared elimination
-// core reports pick/elimination counters and phase timings into tr.
-func (a RLE) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
-
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch).
-func (a RLE) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// Solve implements Algorithm: the shared elimination core reports
+// pick/elimination counters and phase timings to the context's tracer.
+func (a RLE) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	c2 := a.C2
 	if c2 == 0 {
 		c2 = DefaultC2
@@ -59,8 +51,8 @@ func (a RLE) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []in
 		budget: c2 * budget,
 		accum:  scr.zeroAccum(pr),
 		usable: usable,
-	}, tr, scr)
-	return finishSchedule(a.Name(), active, dst)
+	}, obs.TracerFrom(ctx), scr)
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // eliminationConfig parameterizes the shared shortest-link-first

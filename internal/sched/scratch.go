@@ -16,9 +16,9 @@ import (
 // A Scratch belongs to exactly one solve at a time; Prepared hands
 // them out from a sync.Pool so concurrent solves on the same handle
 // never share one. The zero value is valid: every getter allocates on
-// first use, which is how the legacy Schedule/ScheduleTraced entry
-// points run unchanged (they pass a fresh Scratch and pay the old
-// allocation profile at most once).
+// first use, which is how the non-prepared entry points (Run,
+// ScheduleContext) run — they pass a fresh Scratch and pay the
+// allocation profile at most once.
 type Scratch struct {
 	// pp points at the owning Prepared's shared immutable caches
 	// (sender index, median length); nil for standalone scratches,

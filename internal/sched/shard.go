@@ -1,9 +1,9 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -87,22 +87,13 @@ type Shardable interface {
 	WithShards(k int) Algorithm
 }
 
+var _ Shardable = Sharded{}
+
 // WithShards implements Shardable.
 func (a Sharded) WithShards(k int) Algorithm { a.Shards = k; return a }
 
 // Name implements Algorithm.
 func (Sharded) Name() string { return "greedy-sharded" }
-
-// Schedule implements Algorithm.
-func (a Sharded) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm: phases "sort",
-// "tile_partition", "tile_solve" (one per worker, accumulated), and
-// "tile_merge"; counters KeyTiles, KeyTilesSolved, KeyTileAdmitted,
-// KeyBoundaryRepairs plus the standard KeyAdmitted/KeyRejected.
-func (a Sharded) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
 
 // reserveFrac resolves the effective reservation ρ.
 func (a Sharded) reserveFrac() float64 {
@@ -137,34 +128,31 @@ func (a Sharded) tileCount(n int) int {
 	return k
 }
 
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch for the pattern).
-func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// Solve implements Algorithm: phases "sort", "tile_partition",
+// "tile_solve" (one per worker, accumulated), and "tile_merge";
+// counters KeyTiles, KeyTilesSolved, KeyTileAdmitted,
+// KeyBoundaryRepairs plus the standard KeyAdmitted/KeyRejected.
+func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+	tr := obs.TracerFrom(ctx)
 	n := pr.N()
 	k := a.tileCount(n)
 
-	// Global pick order: identical keys to Greedy (descending rate,
-	// ties by ascending length, then index — sort.Stable). Tiles consume
-	// order-contiguous subsequences of it, and a stable sort restricted
-	// to a subset equals the stable sort of that subset, so every tile
-	// considers its members in exactly the order the unsharded greedy
-	// would have reached them.
+	// Global pick order: Greedy's. Tiles consume order-contiguous
+	// subsequences of it, and a stable sort restricted to a subset
+	// equals the stable sort of that subset, so every tile considers its
+	// members in exactly the order the unsharded greedy would have
+	// reached them.
 	sp := tr.StartPhase("sort")
-	ps := scr.pickSorterBufs(n, true)
-	for i := 0; i < n; i++ {
-		ps.k1[i] = -pr.Links.Rate(i)
-		ps.k2[i] = pr.Links.Length(i)
-	}
-	sort.Stable(ps)
+	order := pickOrder(pr, scr, Selection{})
 	sp.End()
 
 	if k <= 1 {
-		return a.finishUnsharded(pr, scr, ps.order, tr, dst, 1)
+		return a.finishUnsharded(pr, scr, order, tr, dst, 1), nil
 	}
 
 	sb := scr.shardState()
 	sp = tr.StartPhase("tile_partition")
-	tiles := sb.partition(pr, scr, k, ps.order)
+	tiles := sb.partition(pr, scr, k, order)
 	if spn := sp.Span(); spn.Enabled() {
 		spn.SetInt("requested", int64(k))
 		spn.SetInt("tiles", int64(tiles))
@@ -173,7 +161,7 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 	if tiles <= 1 {
 		// Degenerate geometry (all receivers in one cell): the tile pass
 		// would just be the global pass with a smaller budget.
-		return a.finishUnsharded(pr, scr, ps.order, tr, dst, 1)
+		return a.finishUnsharded(pr, scr, order, tr, dst, 1), nil
 	}
 	tr.Count(obs.KeyTiles, int64(tiles))
 
@@ -269,7 +257,7 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 		sb.cand = make([]int, 0, n)
 	}
 	cand := sb.cand[:0]
-	for _, i := range ps.order {
+	for _, i := range order {
 		if mark[i] {
 			cand = append(cand, i)
 		}
@@ -285,7 +273,7 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 	tr.Count(obs.KeyBoundaryRepairs, int64(repairs))
 	tr.Count(obs.KeyAdmitted, int64(len(active)))
 	tr.Count(obs.KeyRejected, tileRejected.Load()+int64(repairs))
-	return finishSchedule(a.Name(), active, dst)
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // finishUnsharded is the single-tile path: a full-budget greedy
@@ -302,146 +290,6 @@ func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, tr *obs
 	tr.Count(obs.KeyAdmitted, int64(len(active)))
 	tr.Count(obs.KeyRejected, int64(rejected))
 	return finishSchedule(a.Name(), active, dst)
-}
-
-// greedyInsert is Greedy's insertion loop over an explicit candidate
-// order: full γ_ε budget, same Informed checks, same accumulator. It
-// is shared by the single-tile path (order = all links) and the merge
-// pass (order = tile winners), which is what makes both of them exact
-// restrictions of the unsharded greedy. On tail-bounded (sparse)
-// fields the loop runs through prunedInsert, which admits and rejects
-// the same set in O(stored degree) per candidate instead of
-// Θ(|active|).
-func greedyInsert(pr *Problem, scr *Scratch, order []int) (active []int, rejected int) {
-	acc := scr.noiseAccum(pr)
-	active = scr.activeBuf(pr.N())
-	if acc.hasTail {
-		active, rejected = prunedInsert(pr, scr, acc, active, order)
-		scr.active = active
-		return active, rejected
-	}
-	for _, i := range order {
-		if !pr.Params.Informed(acc.Load(i)) {
-			rejected++
-			continue
-		}
-		ok := true
-		for _, j := range active {
-			if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			rejected++
-			continue
-		}
-		acc.AddLink(i)
-		active = append(active, i)
-	}
-	scr.active = active
-	return active, rejected
-}
-
-// prunedInsert is greedyInsert's fast path for tail-bounded (sparse)
-// fields. The plain loop pays Θ(|active|) per candidate, and near
-// budget saturation almost every candidate is rejected by *some*
-// active receiver, so the scan degenerates to Θ(n·|active|) — the
-// wall that dominates unsharded solves past n ≈ 10⁴. This path
-// decides each candidate in O(stored degree of its sender) using the
-// structure of the conservative load model.
-//
-// For an active receiver j with no stored factor from candidate i,
-// the plain check Load(j) + Contribution(i,j) ≤ γ_ε expands to
-//
-//	m_j + TailBound(j)·(actPow + P_i) ≤ γ_ε,
-//	m_j = load_j − TailBound(j)·nearPow_j,
-//
-// and, once j is active, m_j only grows as further links join: a
-// stored factor dominates the tail charge it displaces (f ≥ tail·P
-// for every stored pair, by the truncation-radius construction), and
-// unstored joins leave m_j untouched. A running maximum M over active
-// receivers' m_j therefore answers every far check at once. With the
-// per-receiver tail spread over [tmin, tmax] (analytically the bounds
-// coincide at cutoff/pmax; only pow() rounding separates them), the
-// candidate is safe to accept on the far side when even the tmax form
-// fits the budget, and safe to reject when even the tmin form
-// overflows — for the arg-max receiver a stored factor from i could
-// only raise its exact check above the far form. Between the two
-// (a band ~10⁻⁹ of the budget wide, versus a decision granularity of
-// one whole tail charge) the plain scan decides.
-//
-// Stored active neighbors — the O(degree) near field — are checked
-// with exactly the plain loop's expression, so the admitted set is
-// identical to plain greedyInsert's on every input; the shards=1 ≡
-// Greedy differential tests pin that equivalence.
-func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []int) ([]int, int) {
-	rejected := 0
-	isActive := boolsIn(&scr.insAct, pr.N())
-	for _, j := range active {
-		isActive[j] = true // pre-seeded active sets (none today) stay correct
-	}
-	tmin, tmax := math.Inf(1), math.Inf(-1)
-	for _, t := range acc.tail {
-		tmin = math.Min(tmin, t)
-		tmax = math.Max(tmax, t)
-	}
-	m := func(j int) float64 { return acc.load[j] - acc.tail[j]*acc.nearPow[j] }
-	M := math.Inf(-1)
-	for _, j := range active {
-		M = math.Max(M, m(j))
-	}
-	for _, i := range order {
-		if !pr.Params.Informed(acc.Load(i)) {
-			rejected++
-			continue
-		}
-		ok := true
-		if len(active) > 0 {
-			aPrime := acc.actPow + acc.field.PowerOf(i)
-			margin := 1e-9 * (acc.gammaEps + math.Abs(M) + tmax*aPrime)
-			if !pr.Params.Informed(M + tmin*aPrime - margin) {
-				// Even the weakest tail charge overflows the most loaded
-				// receiver: every variant of its exact check fails too.
-				ok = false
-			} else if pr.Params.Informed(M + tmax*aPrime + margin) {
-				// Far field clears the budget everywhere; only stored
-				// active neighbors can still object.
-				acc.field.ForEachAffected(i, func(j int, f float64) {
-					if ok && isActive[j] && !pr.Params.Informed(acc.Load(j)+f) {
-						ok = false
-					}
-				})
-			} else {
-				// Margin band: rounding could flip the bound tests, so
-				// let the exact scan decide.
-				for _, j := range active {
-					if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-						ok = false
-						break
-					}
-				}
-			}
-		}
-		if !ok {
-			rejected++
-			continue
-		}
-		acc.AddLink(i)
-		isActive[i] = true
-		active = append(active, i)
-		if v := m(i); v > M {
-			M = v
-		}
-		acc.field.ForEachAffected(i, func(j int, _ float64) {
-			if isActive[j] {
-				if v := m(j); v > M {
-					M = v
-				}
-			}
-		})
-	}
-	return active, rejected
 }
 
 // tileScratch checks a worker-private Scratch out of the owning

@@ -46,7 +46,7 @@ func TestScheduleWeightedMaskMatchesSubProblem(t *testing.T) {
 		links[k] = pr.Links.Link(i)
 	}
 	sub := MustNewProblem(network.MustNewLinkSet(links), pr.Params)
-	subSched := Greedy{}.Schedule(sub)
+	subSched := Run(Greedy{}, sub)
 	want := make([]int, 0, subSched.Len())
 	for _, k := range subSched.Active {
 		want = append(want, idxs[k])

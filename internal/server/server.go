@@ -189,15 +189,13 @@ func New(cfg Config) *Server {
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.Handle("GET /metrics", reg.PrometheusHandler())
-	s.mux.Handle("GET /debug/vars", s.metrics.Handler())
 	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /debug/requests/{id}", s.handleDebugRequestTrace)
 	s.mux.HandleFunc("GET /debug/state", s.handleDebugState)
 	return s
 }
 
-// Metrics exposes the server's counters (cmd/schedd publishes them
-// into the global expvar registry; tests read them directly).
+// Metrics exposes the server's counters (tests read them directly).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close drains the streaming-session layer: no new sessions are
@@ -298,8 +296,8 @@ func (s *Server) traced(path string) bool {
 }
 
 // DebugHandler returns the private-side handler: pprof plus the same
-// metric map. cmd/schedd binds it to a loopback-only port — profiling
-// endpoints can stall the world and must not face traffic.
+// /metrics export. cmd/schedd binds it to a loopback-only port —
+// profiling endpoints can stall the world and must not face traffic.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -307,7 +305,7 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", s.metrics.Handler())
+	mux.Handle("GET /metrics", s.metrics.Registry().PrometheusHandler())
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/requests/{id}", s.handleDebugRequestTrace)
 	mux.HandleFunc("GET /debug/state", s.handleDebugState)

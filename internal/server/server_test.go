@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,10 +29,7 @@ import (
 type slowAlgo struct{}
 
 func (slowAlgo) Name() string { return "test-slow" }
-func (slowAlgo) Schedule(pr *sched.Problem) sched.Schedule {
-	panic("test-slow requires a context")
-}
-func (slowAlgo) ScheduleContext(ctx context.Context, pr *sched.Problem) (sched.Schedule, error) {
+func (slowAlgo) Solve(ctx context.Context, _ *sched.Problem, _ *sched.Scratch, _ []int) (sched.Schedule, error) {
 	<-ctx.Done()
 	return sched.Schedule{}, ctx.Err()
 }
@@ -42,11 +41,7 @@ type sleepAlgo struct{}
 const sleepAlgoDelay = 300 * time.Millisecond
 
 func (sleepAlgo) Name() string { return "test-sleep" }
-func (sleepAlgo) Schedule(pr *sched.Problem) sched.Schedule {
-	s, _ := sleepAlgo{}.ScheduleContext(context.Background(), pr)
-	return s
-}
-func (sleepAlgo) ScheduleContext(ctx context.Context, pr *sched.Problem) (sched.Schedule, error) {
+func (sleepAlgo) Solve(ctx context.Context, _ *sched.Problem, _ *sched.Scratch, _ []int) (sched.Schedule, error) {
 	select {
 	case <-ctx.Done():
 		return sched.Schedule{}, ctx.Err()
@@ -495,35 +490,32 @@ func TestAlgorithmsHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Errorf("healthz = %d", r.StatusCode)
 	}
 
+	body, _ := scrape(t, ts)
+	sample := func(name string) int64 {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("scrape missing %s\n%s", name, body)
+		}
+		v, _ := strconv.ParseInt(m[1], 10, 64)
+		return v
+	}
+	if v := sample("schedd_requests_total"); v < 1 {
+		t.Errorf("schedd_requests_total = %d, want ≥ 1", v)
+	}
+	// The /metrics request itself is still in flight while serving.
+	if v := sample("schedd_in_flight"); v != 1 {
+		t.Errorf("schedd_in_flight = %d while serving /metrics, want 1", v)
+	}
+	if v := sample("schedd_request_duration_seconds_count"); v < 1 {
+		t.Errorf("schedd_request_duration_seconds_count = %d, want ≥ 1", v)
+	}
 	r, err = ts.Client().Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vars struct {
-		Schedd struct {
-			Requests  int64 `json:"requests_total"`
-			InFlight  int64 `json:"in_flight"`
-			ByCode    map[string]int64
-			Latencies struct {
-				Count int     `json:"count"`
-				P50   float64 `json:"p50"`
-				P99   float64 `json:"p99"`
-			} `json:"latency_seconds"`
-		} `json:"schedd"`
-	}
-	raw := readAll(t, r.Body)
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("metrics not valid JSON: %v\n%s", err, raw)
-	}
-	if vars.Schedd.Requests < 1 {
-		t.Errorf("requests_total = %d, want ≥ 1", vars.Schedd.Requests)
-	}
-	// The /debug/vars request itself is still in flight while serving.
-	if vars.Schedd.InFlight != 1 {
-		t.Errorf("in_flight = %d while serving /debug/vars, want 1", vars.Schedd.InFlight)
-	}
-	if vars.Schedd.Latencies.Count < 1 || vars.Schedd.Latencies.P99 < vars.Schedd.Latencies.P50 {
-		t.Errorf("latency quantiles malformed: %+v", vars.Schedd.Latencies)
+	readAll(t, r.Body)
+	if r.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404 (/metrics is the only export)", r.StatusCode)
 	}
 }
 
@@ -550,5 +542,18 @@ func TestDebugHandlerServesPprofPrivately(t *testing.T) {
 	readAll(t, r.Body)
 	if r.StatusCode == http.StatusOK {
 		t.Error("pprof reachable on the public API handler; it must stay private")
+	}
+
+	// The private side serves the same /metrics export and, like the
+	// public side, no expvar mirror.
+	for path, want := range map[string]int{"/metrics": http.StatusOK, "/debug/vars": http.StatusNotFound} {
+		r, err = debug.Client().Get(debug.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, r.Body)
+		if r.StatusCode != want {
+			t.Errorf("GET %s on debug handler = %d, want %d", path, r.StatusCode, want)
+		}
 	}
 }

@@ -247,7 +247,7 @@ func (m *mirror) coldCheck(t testing.TB, algoName string) {
 	if !ok {
 		t.Fatalf("unknown algorithm %q", algoName)
 	}
-	want := a.Schedule(pr)
+	want := sched.Run(a, pr)
 	gotJSON, _ := json.Marshal(m.active)
 	wantJSON, _ := json.Marshal(want.Active)
 	if string(gotJSON) != string(wantJSON) {

@@ -422,7 +422,7 @@ func legacyRun(t *testing.T, pr *sched.Problem, slots int, p float64, queueCap i
 func legacyScheduleSubset(t *testing.T, pr *sched.Problem, idxs []int) []int {
 	t.Helper()
 	if len(idxs) == pr.N() {
-		return sched.Greedy{}.Schedule(pr).Active
+		return sched.Run(sched.Greedy{}, pr).Active
 	}
 	links := make([]network.Link, len(idxs))
 	for k, i := range idxs {
@@ -436,7 +436,7 @@ func legacyScheduleSubset(t *testing.T, pr *sched.Problem, idxs []int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.Greedy{}.Schedule(sub)
+	s := sched.Run(sched.Greedy{}, sub)
 	out := make([]int, 0, s.Len())
 	for _, k := range s.Active {
 		out = append(out, idxs[k])

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/network"
@@ -91,7 +92,10 @@ func BuildPlan(pr *sched.Problem, algo sched.Algorithm) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		s := algo.Schedule(sub)
+		s, err := sched.ScheduleContext(context.Background(), algo, sub)
+		if err != nil {
+			return Plan{}, fmt.Errorf("traffic: %s on slot %d: %w", algo.Name(), len(plan.Slots), err)
+		}
 		var chosen []int
 		for _, i := range s.Active {
 			chosen = append(chosen, back[i])

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -136,8 +137,10 @@ func TestBuildPlanNoiseDeadLinkReported(t *testing.T) {
 // path.
 type stubborn struct{}
 
-func (stubborn) Name() string                              { return "stubborn" }
-func (stubborn) Schedule(pr *sched.Problem) sched.Schedule { return sched.NewSchedule("stubborn", nil) }
+func (stubborn) Name() string { return "stubborn" }
+func (stubborn) Solve(context.Context, *sched.Problem, *sched.Scratch, []int) (sched.Schedule, error) {
+	return sched.NewSchedule("stubborn", nil), nil
+}
 
 func TestBuildPlanForcesProgress(t *testing.T) {
 	pr := paperProblem(t, 10, 1)

@@ -82,8 +82,9 @@ go test -run 'TestSparseStoredFactorsExact|TestSparseNeverOverAdmits|TestSparseW
 echo "== sharded solver gate"
 # The tile-sharded solver under -race: the tile-worker concurrency
 # test, the shards=1 ≡ greedy bit-identity and Monte-Carlo feasibility
-# oracles, and the clustered-layout fuzz seeds (`make test-shard`).
-go test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
+# oracles, the pruned-vs-scan insertion-loop oracle, and the
+# clustered-layout fuzz seeds (`make test-shard`).
+go test -race -run 'TestSharded|TestPrunedInsertMatchesScan|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 echo "== bench smoke"
 # One-iteration pass over the prepared/batch/sharded/traffic benchmarks
