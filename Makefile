@@ -85,7 +85,7 @@ metrics-smoke:
 trace-smoke:
 	$(GO) test -race -run TestTraceSmoke -count=1 -v ./cmd/schedd/
 
-## bench-obs: tracer and span overhead (disabled tracer and warm span
+## bench-obs: tracing overhead (untraced solve path and warm span
 ## lifecycle must both stay 0 allocs/op)
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkSpan' ./internal/obs/

@@ -352,9 +352,9 @@ func BenchmarkSolveWarmPrepared(b *testing.B) {
 
 // BenchmarkSolveWarmTraced is BenchmarkSolveWarmPrepared under the full
 // per-request tracing harness schedd runs: every iteration takes a
-// pooled trace from obs, opens the solve span with an attached phase
-// tracer, solves, finishes the trace, and offers it to a flight
-// recorder (which samples a few and recycles the rest). The ns/op
+// pooled trace from obs, opens the solve span, solves under a solve
+// trace, grafts it under the span, finishes the trace, and offers it
+// to a flight recorder (which samples a few and recycles the rest). The ns/op
 // delta against BenchmarkSolveWarmPrepared is the span-overhead
 // acceptance gate: ≤5% at n=2000.
 func BenchmarkSolveWarmTraced(b *testing.B) {
@@ -372,13 +372,13 @@ func BenchmarkSolveWarmTraced(b *testing.B) {
 		trace := obs.NewTrace("beefbeefbeefbeef", "POST /v1/solve")
 		ctx := obs.ContextWithSpan(context.Background(), trace.Root())
 		solveSp := obs.SpanFrom(ctx).Child("solve")
-		solveSp.SetInt("links", int64(ls.Len()))
-		tr := obs.NewTracer().AttachSpan(solveSp)
+		tr := obs.NewTracer()
 		sctx := obs.WithTracer(obs.ContextWithSpan(ctx, solveSp), tr)
 		s, err := prep.ScheduleInto(sctx, fadingrls.RLE{}, buf)
 		if err != nil {
 			b.Fatal(err)
 		}
+		solveSp.Graft(tr)
 		solveSp.End()
 		trace.Finish(200)
 		rec.Record(trace)

@@ -148,22 +148,14 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-16s skipped (exact solver caps at 24 links)\n", name)
 			continue
 		}
+		// The solve trace feeds -trace's printed phase table and, grafted
+		// under the run trace's solve span, the -trace-out file.
 		solveSp := obs.SpanFrom(runCtx).Child("solve")
-		if solveSp.Enabled() {
-			solveSp.SetStr("algorithm", name)
-			solveSp.SetInt("links", int64(ls.Len()))
-		}
-		var tr *obs.Tracer
-		ctx := runCtx
-		if *trace || solveSp.Enabled() {
-			// The tracer feeds -trace's printed phase table and, attached
-			// to the span, mirrors each phase into the -trace-out file.
-			tr = obs.NewTracer().AttachSpan(solveSp)
-			ctx = obs.WithTracer(ctx, tr)
-		}
+		tr := obs.NewTracer()
 		logger.Info("solve start", slog.String("algorithm", name), slog.Int("links", ls.Len()))
 		solveStart := time.Now()
-		s, err := fadingrls.SolveContext(ctx, name, pr)
+		s, err := fadingrls.SolveContext(obs.WithTracer(runCtx, tr), name, pr)
+		solveSp.Graft(tr)
 		solveSp.End()
 		if err != nil {
 			return err

@@ -349,13 +349,14 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatalf("no delta frame: %v", sc.Err())
 	}
 	pw.Close()
+	// Drain the stream so the handler has returned; the middleware
+	// records the stream's trace only after that, so poll until the
+	// recorder has seen all three requests (solve, session create,
+	// event stream), within a bounded deadline.
+	io.Copy(io.Discard, evResp.Body)
 
 	// The recorder must have kept both traces with their span trees.
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/requests?n=50", apiAddr))
-	if err != nil {
-		t.Fatalf("debug requests failed: %v", err)
-	}
-	var dbg struct {
+	type debugRequests struct {
 		Recorder struct {
 			Seen int64 `json:"seen"`
 		} `json:"recorder"`
@@ -366,10 +367,22 @@ func TestTraceSmoke(t *testing.T) {
 			} `json:"spans"`
 		} `json:"recent"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
-		t.Fatal(err)
+	var dbg debugRequests
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err = http.Get(fmt.Sprintf("http://%s/debug/requests?n=50", apiAddr))
+		if err != nil {
+			t.Fatalf("debug requests failed: %v", err)
+		}
+		dbg = debugRequests{}
+		if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if dbg.Recorder.Seen >= 3 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	resp.Body.Close()
 	if dbg.Recorder.Seen < 2 {
 		t.Fatalf("recorder saw %d traces, want ≥2", dbg.Recorder.Seen)
 	}

@@ -133,12 +133,13 @@ type (
 
 // Observability.
 type (
-	// Tracer collects one solve's phase timings and algorithm counters;
-	// install with WithTracer and hand the context to SolveContext. A
-	// nil *Tracer is the disabled state — every method no-ops.
-	Tracer = obs.Tracer
-	// SolveStats is a Tracer snapshot: phases in execution order plus
-	// counters (see obs.Key* for the vocabulary).
+	// Tracer is one solve's trace: a small span tree whose phase spans
+	// carry the algorithm's counters. Install it with WithTracer, hand
+	// the context to SolveContext, and read the result with Stats.
+	// Without one the solve records nothing and allocates nothing.
+	Tracer = obs.Trace
+	// SolveStats is a Tracer's Stats render: phases in order of first
+	// start plus counters (see obs.Key* for the vocabulary).
 	SolveStats = obs.SolveStats
 	// PhaseStat is one solver phase's accumulated wall time.
 	PhaseStat = obs.PhaseStat

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +16,12 @@ import (
 const DefaultMaxSpans = 256
 
 // maxSpanAttrs is the inline attribute capacity per span. Setters past
-// the cap are dropped silently; four covers every call site in the
-// repo and keeps the record fixed-size (no per-attr allocation).
-const maxSpanAttrs = 4
+// the cap are dropped silently; five covers every call site in the
+// repo — the busiest is a request's solve span, which carries the
+// requested shard count plus the solve root's algorithm and three
+// dispatcher counters once the solve trace is grafted under it — and
+// keeps the record fixed-size (no per-attr allocation).
+const maxSpanAttrs = 5
 
 // AttrKind discriminates the typed attribute slots.
 type AttrKind uint8
@@ -27,23 +31,27 @@ const (
 	attrInt
 	attrFloat
 	attrStr
+	// attrCount is a counter: Add sums into it, and SolveStats counters
+	// are rendered from these only, so a phase attribute set with SetInt
+	// never leaks into the counter table under a shared key.
+	attrCount
 )
 
 // attr is one typed key/value pair stored inline in a span record.
+// Integers, counters and float bits share n.
 type attr struct {
 	key  string
-	kind AttrKind
-	i    int64
-	f    float64
 	s    string
+	n    int64
+	kind AttrKind
 }
 
 func (a attr) value() any {
 	switch a.kind {
-	case attrInt:
-		return a.i
+	case attrInt, attrCount:
+		return a.n
 	case attrFloat:
-		return a.f
+		return math.Float64frombits(uint64(a.n))
 	case attrStr:
 		return a.s
 	}
@@ -80,6 +88,10 @@ type Trace struct {
 	begun time.Time
 
 	spans []spanRecord
+	// grow lets the arena extend past its initial capacity instead of
+	// dropping spans; set only on solve traces (NewTracer), whose span
+	// count is bounded by the solver's phases and worker count.
+	grow bool
 
 	// full short-circuits span creation without taking mu once the
 	// arena is exhausted; dropped counts the spans lost that way.
@@ -225,7 +237,7 @@ func (t *Trace) startSpan(name string, parent SpanID) Span {
 		return Span{}
 	}
 	t.mu.Lock()
-	if t.done || len(t.spans) == cap(t.spans) {
+	if t.done || (len(t.spans) == cap(t.spans) && !t.grow) {
 		if !t.done {
 			t.full.Store(true)
 		}
@@ -289,22 +301,80 @@ func (s Span) setAttr(a attr) {
 	}
 	t := s.tr
 	t.mu.Lock()
-	rec := &t.spans[s.id-1]
+	t.spans[s.id-1].put(a)
+	t.mu.Unlock()
+}
+
+// put stores a in the record's next free slot (dropped past
+// maxSpanAttrs), except that a counter sums into an existing counter of
+// the same key.
+func (rec *spanRecord) put(a attr) {
+	if a.kind == attrCount {
+		for i := range rec.attrs[:rec.nattrs] {
+			if b := &rec.attrs[i]; b.kind == attrCount && b.key == a.key {
+				b.n += a.n
+				return
+			}
+		}
+	}
 	if int(rec.nattrs) < maxSpanAttrs {
 		rec.attrs[rec.nattrs] = a
 		rec.nattrs++
 	}
-	t.mu.Unlock()
 }
 
 // SetInt attaches an integer attribute (at most maxSpanAttrs stick).
-func (s Span) SetInt(key string, v int64) { s.setAttr(attr{key: key, kind: attrInt, i: v}) }
+func (s Span) SetInt(key string, v int64) { s.setAttr(attr{key: key, kind: attrInt, n: v}) }
 
 // SetFloat attaches a float attribute.
-func (s Span) SetFloat(key string, v float64) { s.setAttr(attr{key: key, kind: attrFloat, f: v}) }
+func (s Span) SetFloat(key string, v float64) {
+	s.setAttr(attr{key: key, kind: attrFloat, n: int64(math.Float64bits(v))})
+}
 
 // SetStr attaches a string attribute.
 func (s Span) SetStr(key, v string) { s.setAttr(attr{key: key, kind: attrStr, s: v}) }
+
+// Add adds n to the span's counter key, starting it at zero on first
+// use; repeated calls sum. Counters are what SolveStats totals across a
+// solve trace (the obs.Key* vocabulary), and they are kept apart from
+// SetInt attributes even under the same key.
+func (s Span) Add(key string, n int64) { s.setAttr(attr{key: key, kind: attrCount, n: n}) }
+
+// Graft copies the finished solve trace src under s: src's root
+// attributes merge into s, and every other span of src becomes a
+// descendant of s with its times rebased onto s's trace clock. Spans
+// past the destination arena's room are dropped and counted as with
+// Child; src is only read, so stats rendered from it never depend on
+// the room left here. A no-op on the inert span or a nil src.
+func (s Span) Graft(src *Trace) {
+	if s.tr == nil || src == nil || src == s.tr {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	root := &src.spans[0]
+	for _, a := range root.attrs[:root.nattrs] {
+		t.spans[s.id-1].put(a)
+	}
+	shift := src.begun.Sub(t.begun)
+	base := SpanID(len(t.spans)) - 1 // src span k ≥ 2 lands at base+k
+	for i, rec := range src.spans[1:] {
+		if t.done || (len(t.spans) == cap(t.spans) && !t.grow) {
+			t.dropped.Add(int64(len(src.spans) - 1 - i))
+			return
+		}
+		rec.start += shift
+		if rec.parent == 1 {
+			rec.parent = s.id
+		} else {
+			rec.parent += base
+		}
+		t.spans = append(t.spans, rec)
+	}
+}
 
 type spanCtxKey struct{}
 

@@ -138,19 +138,22 @@ func TestSpanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTracerPhaseSpans checks that a Tracer with an attached span
-// mirrors each phase into the trace tree while keeping the flat
-// per-phase totals intact.
+// TestTracerPhaseSpans checks that grafting a finished solve trace
+// under a request's solve span shows each phase, with its counters, in
+// the request's trace tree, while the solve's own stats stay intact.
 func TestTracerPhaseSpans(t *testing.T) {
 	trace := NewTraceCap("1234123412341234", "solve", 32)
 	solve := trace.Root().Child("solve")
-	tr := NewTracer().AttachSpan(solve)
-	tr.SetAlgorithm("rle")
-	p := tr.StartPhase("sort")
+	tr := NewTracer()
+	root := tr.Root()
+	root.SetStr(KeyAlgorithm, "rle")
+	p := root.Child("sort")
 	time.Sleep(time.Millisecond)
 	p.End()
-	p = tr.StartPhase("eliminate")
+	p = root.Child("eliminate")
+	p.Add(KeyPicks, 3)
 	p.End()
+	solve.Graft(tr)
 	solve.End()
 	trace.Finish(200)
 
@@ -159,25 +162,22 @@ func TestTracerPhaseSpans(t *testing.T) {
 		t.Fatalf("flat phases broken: %+v", st.Phases)
 	}
 	s := trace.Snapshot()
-	var solveID int32
-	names := map[string]int32{}
+	byName := map[string]SpanSnapshot{}
 	for _, sp := range s.Spans {
-		names[sp.Name] = sp.Parent
-		if sp.Name == "solve" {
-			solveID = sp.ID
-		}
+		byName[sp.Name] = sp
 	}
-	if names["sort"] != solveID || names["eliminate"] != solveID {
+	solveID := byName["solve"].ID
+	if byName["sort"].Parent != solveID || byName["eliminate"].Parent != solveID {
 		t.Fatalf("phase spans not nested under solve: %+v", s.Spans)
 	}
-	var solveSnap SpanSnapshot
-	for _, sp := range s.Spans {
-		if sp.Name == "solve" {
-			solveSnap = sp
-		}
+	if sort := byName["sort"]; sort.StartUS < byName["solve"].StartUS || sort.DurUS < 1000 {
+		t.Fatalf("grafted phase not rebased onto the request clock: %+v", sort)
 	}
-	if solveSnap.Attrs["algorithm"] != "rle" {
-		t.Fatalf("SetAlgorithm did not annotate the span: %+v", solveSnap.Attrs)
+	if byName["solve"].Attrs[KeyAlgorithm] != "rle" {
+		t.Fatalf("solve root's algorithm did not annotate the span: %+v", byName["solve"].Attrs)
+	}
+	if byName["eliminate"].Attrs[KeyPicks] != int64(3) {
+		t.Fatalf("phase counter missing from the grafted span: %+v", byName["eliminate"].Attrs)
 	}
 }
 

@@ -2,14 +2,19 @@ package obs
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"time"
 )
 
-// Well-known tracer counter keys. Solvers report under these names so
-// schedd responses, CLI -trace output, and dashboards agree on
-// vocabulary; the inventory is documented in DESIGN.md §8.
+// Well-known solve-trace keys. Solvers report counters (Span.Add)
+// under these names so schedd responses, CLI -trace output, and
+// dashboards agree on vocabulary; the inventory is documented in
+// DESIGN.md §8.
 const (
+	// KeyAlgorithm is the solve root's string attribute naming the
+	// algorithm that ran; every other key is a counter.
+	KeyAlgorithm = "algorithm"
+
 	// Shared across algorithms.
 	KeyLinks      = "links"     // instance size
 	KeyScheduled  = "scheduled" // activation-set size
@@ -44,7 +49,7 @@ const (
 
 	// Tile-sharded solving. KeyTiles is the partition's tile count,
 	// KeyTilesSolved counts tiles completed (workers bump it live, so a
-	// mid-solve Stats snapshot shows fan-out progress), KeyTileAdmitted
+	// mid-solve Stats render shows fan-out progress), KeyTileAdmitted
 	// the per-tile admissions surviving into the merge candidate list,
 	// and KeyBoundaryRepairs the candidates the full-budget merge pass
 	// dropped to resolve cross-tile conflicts.
@@ -60,9 +65,9 @@ type PhaseStat struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// SolveStats is the JSON-renderable snapshot of one solve's trace: the
-// algorithm that ran, its per-phase wall times (in execution order),
-// and its counters. schedd embeds it under "stats" in the /v1/solve
+// SolveStats is the JSON-renderable summary of one solve's trace: the
+// algorithm that ran, its per-phase wall times (in order of first
+// start), and its counters. schedd embeds it under "stats" in the /v1/solve
 // response; fadingsched -trace prints it.
 type SolveStats struct {
 	Algorithm string           `json:"algorithm,omitempty"`
@@ -79,151 +84,89 @@ func (s *SolveStats) Counter(key string) int64 {
 	return s.Counters[key]
 }
 
-// Tracer collects one solve's phases and counters. The nil *Tracer is
-// the disabled state: every method is a no-op costing a nil check and
-// zero allocations (BenchmarkTracerDisabled guards this), so solvers
-// call unconditionally and the untraced hot path stays untouched.
-//
-// A Tracer is safe for concurrent use — Exact's parallel subtree
-// workers report into one — but the intended pattern is coarse:
-// accumulate in solver-local variables and report once per phase, not
-// once per node.
-type Tracer struct {
-	mu        sync.Mutex
-	algorithm string
-	order     []string
-	phases    map[string]float64
-	counters  map[string]int64
-	ctrOrder  []string
-	span      Span // parent span phases nest under (inert when unset)
-}
+// solveSpans is a solve trace's initial arena: the root plus the
+// longest fixed phase sequence (greedy-sharded's sort, tile_partition
+// and tile_merge); every other algorithm opens at most three spans. A
+// solve trace grows past it rather than drop a span, so no phase or
+// counter is ever lost at any GOMAXPROCS: greedy-sharded adds one
+// tile_solve span per worker, at most GOMAXPROCS.
+const solveSpans = 4
 
-// NewTracer returns an enabled tracer.
-func NewTracer() *Tracer {
-	return &Tracer{phases: map[string]float64{}, counters: map[string]int64{}}
-}
-
-// AttachSpan nests the tracer's phases under sp: every StartPhase also
-// opens a child span of sp, so solver phase timings appear inside the
-// request's trace tree. Attach before the solve starts; returns t for
-// chaining. Nil-safe on both sides.
-func (t *Tracer) AttachSpan(sp Span) *Tracer {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	t.span = sp
-	t.mu.Unlock()
+// NewTracer starts a solve trace: a small span tree rooted at "solve"
+// that the dispatcher and the solvers fill through the Span returned
+// by TracerFrom. The dispatcher stamps the root with the algorithm name
+// and the instance counters; each solver phase is a child span carrying
+// its own counters (Span.Add). Stats renders it; Span.Graft copies it
+// into a request trace. Solve traces are not pooled.
+func NewTracer() *Trace {
+	t := &Trace{spans: make([]spanRecord, 0, solveSpans), grow: true}
+	t.init("", "solve")
 	return t
 }
 
-// SetAlgorithm records which algorithm the trace belongs to.
-func (t *Tracer) SetAlgorithm(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.algorithm = name
-	sp := t.span
-	t.mu.Unlock()
-	sp.SetStr("algorithm", name)
-}
-
-// Count adds n to the named counter.
-func (t *Tracer) Count(key string, n int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, ok := t.counters[key]; !ok {
-		t.ctrOrder = append(t.ctrOrder, key)
-	}
-	t.counters[key] += n
-	t.mu.Unlock()
-}
-
-// Phase measures one solver phase; obtain with StartPhase, finish with
-// End. It is a value type so the enabled path allocates nothing
-// either. When the tracer has an attached request span, the phase also
-// opens a child span, so the same call site feeds both the flat
-// per-phase totals (SolveStats) and the request trace tree.
-type Phase struct {
-	t     *Tracer
-	name  string
-	start time.Time
-	sp    Span
-}
-
-// StartPhase begins timing a named phase. On a nil tracer the returned
-// Phase is inert and no clock is read.
-func (t *Tracer) StartPhase(name string) Phase {
-	if t == nil {
-		return Phase{}
-	}
-	t.mu.Lock()
-	parent := t.span
-	t.mu.Unlock()
-	return Phase{t: t, name: name, start: time.Now(), sp: parent.Child(name)}
-}
-
-// Span returns the child span opened for this phase — inert on a nil
-// tracer, without an attached request span, or when the trace arena is
-// exhausted — so call sites can attach phase-level attributes (tile
-// counts, repair totals) before End.
-func (s Phase) Span() Span { return s.sp }
-
-// End records the phase's elapsed wall time; repeated phases with the
-// same name accumulate (their spans stay distinct).
-func (s Phase) End() {
-	if s.t == nil {
-		return
-	}
-	s.sp.End()
-	elapsed := time.Since(s.start).Seconds()
-	s.t.mu.Lock()
-	if _, ok := s.t.phases[s.name]; !ok {
-		s.t.order = append(s.t.order, s.name)
-	}
-	s.t.phases[s.name] += elapsed
-	s.t.mu.Unlock()
-}
-
-// Stats snapshots the trace. Returns nil on a nil tracer, so the
-// result can feed straight into an omitempty JSON field.
-func (t *Tracer) Stats() *SolveStats {
+// Stats renders a solve trace as SolveStats: the algorithm from the
+// root's KeyAlgorithm attribute, one phase per distinct non-root span
+// name (same-named spans summed, in order of first start; an unended
+// span counts its time so far), and the sum of every counter attribute
+// in the tree. Safe to call mid-solve — GET /debug/state reads live
+// tile progress this way. Returns nil on a nil trace, so the result
+// can feed straight into an omitempty JSON field.
+func (t *Trace) Stats() *SolveStats {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := &SolveStats{Algorithm: t.algorithm}
-	for _, name := range t.order {
-		out.Phases = append(out.Phases, PhaseStat{Name: name, Seconds: t.phases[name]})
-	}
-	if len(t.counters) > 0 {
-		out.Counters = make(map[string]int64, len(t.counters))
-		for k, v := range t.counters {
-			out.Counters[k] = v
+	now := time.Since(t.begun)
+	out := &SolveStats{}
+	for i := range t.spans {
+		rec := &t.spans[i]
+		for _, a := range rec.attrs[:rec.nattrs] {
+			switch {
+			case a.kind == attrCount:
+				if out.Counters == nil {
+					out.Counters = make(map[string]int64)
+				}
+				out.Counters[a.key] += a.n
+			case i == 0 && a.kind == attrStr && a.key == KeyAlgorithm:
+				out.Algorithm = a.s
+			}
 		}
+		if i == 0 {
+			continue
+		}
+		dur := rec.dur
+		if !rec.ended {
+			dur = now - rec.start
+		}
+		k := slices.IndexFunc(out.Phases, func(p PhaseStat) bool { return p.Name == rec.name })
+		if k < 0 {
+			k = len(out.Phases)
+			out.Phases = append(out.Phases, PhaseStat{Name: rec.name})
+		}
+		out.Phases[k].Seconds += dur.Seconds()
 	}
 	return out
 }
 
 type tracerKey struct{}
 
-// WithTracer returns a context carrying t; solvers retrieve it with
-// TracerFrom. Installing a nil tracer is allowed and equivalent to not
-// installing one.
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
+// WithTracer returns a context carrying the solve trace t; solvers
+// reach its root with TracerFrom. The key is separate from the request
+// span's (ContextWithSpan), so solves under a request trace that
+// installed no tracer — session events, traffic slots — open no solver
+// spans. Installing nil is allowed and equivalent to not installing one.
+func WithTracer(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, tracerKey{}, t)
 }
 
-// TracerFrom returns the context's tracer, or nil (the disabled
-// tracer) when absent.
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
+// TracerFrom returns the root span of the context's solve trace, or
+// the inert span when none is installed — so the untraced solve path
+// costs a context lookup and nil checks, and allocates nothing.
+func TracerFrom(ctx context.Context) Span {
+	t, _ := ctx.Value(tracerKey{}).(*Trace)
+	return t.Root()
 }

@@ -23,7 +23,7 @@ func (ApproxLogN) Name() string { return "approxlogn" }
 // (same phases and counters as LDP).
 func (ApproxLogN) Solve(ctx context.Context, pr *Problem, _ *Scratch, _ []int) (Schedule, error) {
 	tr := obs.TracerFrom(ctx)
-	sp := tr.StartPhase("classes")
+	sp := tr.Child("classes")
 	budget, spread, usable := pr.detHeadroom()
 	classes := filterClasses(pr.Links.BandedLengthClasses(), usable)
 	beta := detBetaFor(pr.Params, budget, spread)

@@ -13,10 +13,11 @@ import (
 // round-structured running time (Exact, DLS) additionally abort
 // mid-solve.
 //
-// When ctx carries an obs.Tracer (obs.WithTracer), the solve is
-// traced: the dispatcher records the algorithm name, instance size,
-// and field-backend stats, and the algorithm fills in its phases and
-// counters. Without a tracer every trace call is a nil-receiver no-op.
+// When ctx carries a solve trace (obs.WithTracer), the solve is
+// traced: the dispatcher stamps the trace root with the algorithm name,
+// instance size, and field-backend stats, and the algorithm adds its
+// phases as child spans carrying their counters. Without one every
+// span call is an inert no-op.
 func ScheduleContext(ctx context.Context, a Algorithm, pr *Problem) (Schedule, error) {
 	return scheduleWith(ctx, a, pr, nil, nil)
 }
@@ -36,18 +37,16 @@ func Run(a Algorithm, pr *Problem) Schedule {
 // scheduleWith is the one dispatcher behind Run, ScheduleContext and
 // Prepared: it runs a.Solve off the supplied workspace (or a fresh one
 // when scr is nil, the non-prepared allocation profile) between the
-// two context checks, and records the dispatcher's tracer counters.
+// two context checks, and records the dispatcher's trace counters.
 func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
 	}
-	tr := obs.TracerFrom(ctx)
-	if tr != nil {
-		tr.SetAlgorithm(a.Name())
-		tr.Count(obs.KeyLinks, int64(pr.N()))
-		if sp, ok := pr.field.(*SparseField); ok {
-			tr.Count(obs.KeyFieldPairs, int64(sp.StoredPairs()))
-		}
+	root := obs.TracerFrom(ctx)
+	root.SetStr(obs.KeyAlgorithm, a.Name())
+	root.Add(obs.KeyLinks, int64(pr.N()))
+	if sp, ok := pr.field.(*SparseField); ok {
+		root.Add(obs.KeyFieldPairs, int64(sp.StoredPairs()))
 	}
 	if scr == nil {
 		scr = new(Scratch)
@@ -59,7 +58,7 @@ func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, d
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
 	}
-	tr.Count(obs.KeyScheduled, int64(s.Len()))
+	root.Add(obs.KeyScheduled, int64(s.Len()))
 	return s, nil
 }
 

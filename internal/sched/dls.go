@@ -67,12 +67,12 @@ const (
 // lists, the tentative accumulator — lives in the scratch, so the
 // protocol's round loop stops churning slices once the scratch is warm.
 //
-// When ctx carries an obs.Tracer the protocol reports the rounds it
+// When ctx carries a solve trace the protocol reports the rounds it
 // actually ran (quiescence can end it early), total round winners,
 // NACK backoffs, and links that gave up.
 func (a DLS) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	tr := obs.TracerFrom(ctx)
-	sp := tr.StartPhase("rounds")
+	sp := tr.Child("rounds")
 	defer sp.End()
 	rounds := a.Rounds
 	if rounds == 0 {
@@ -183,18 +183,16 @@ func (a DLS) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (S
 		totalNacks += nacks
 	}
 	scr.active = active
-	if tr != nil {
-		var gaveUp int64
-		for _, s := range state {
-			if s == dlsGaveUp {
-				gaveUp++
-			}
+	var gaveUp int64
+	for _, s := range state {
+		if s == dlsGaveUp {
+			gaveUp++
 		}
-		tr.Count(obs.KeyRounds, ranRounds)
-		tr.Count(obs.KeyWinner, totalWinners)
-		tr.Count(obs.KeyNacks, totalNacks)
-		tr.Count(obs.KeyGaveUp, gaveUp)
 	}
+	sp.Add(obs.KeyRounds, ranRounds)
+	sp.Add(obs.KeyWinner, totalWinners)
+	sp.Add(obs.KeyNacks, totalNacks)
+	sp.Add(obs.KeyGaveUp, gaveUp)
 	return finishSchedule(a.Name(), active, dst), nil
 }
 

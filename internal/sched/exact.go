@@ -121,12 +121,12 @@ func (st *exactState) bound() float64 {
 	return st.bestRate
 }
 
-func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, tr *obs.Tracer) ([]int, error) {
+func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, tr obs.Span) ([]int, error) {
 	n := pr.N()
 	if n == 0 {
 		return nil, nil
 	}
-	prep := tr.StartPhase("prep")
+	prep := tr.Child("prep")
 	// Decision order: descending rate so the additive bound tightens
 	// fast; ties broken by shorter length (easier to keep feasible).
 	order := make([]int, n)
@@ -151,7 +151,7 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 	unregister := context.AfterFunc(ctx, func() { st.stop.Store(true) })
 	defer unregister()
 	// Seed the incumbent with Greedy so pruning bites immediately.
-	seed := greedySolve(pr, scr, Selection{}, nil, nil)
+	seed := greedySolve(pr, scr, Selection{}, obs.Span{}, nil)
 	st.offer(seed.Throughput(pr), seed.Active)
 
 	// Enumerate the 2^splitDepth assignments of the first splitDepth
@@ -184,10 +184,10 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 	// Informed checks in tryInclude test the full noise-aware budget
 	// (identical to plain Corollary 3.1 when N0 = 0).
 	build(0, nil, NewAccum(pr), 0)
+	prep.Add(obs.KeySubtreeTasks, int64(len(tasks)))
 	prep.End()
-	tr.Count(obs.KeySubtreeTasks, int64(len(tasks)))
 
-	search := tr.StartPhase("search")
+	search := tr.Child("search")
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, tk := range tasks {
@@ -202,17 +202,13 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 		}(tk)
 	}
 	wg.Wait()
+	search.Add(obs.KeyNodesExpanded, st.nodes)
+	search.Add(obs.KeyBoundCutoffs, st.cutoffs)
+	search.Add(obs.KeyInfeasible, st.infeasible)
+	search.Add(obs.KeyIncumbents, st.offers)
 	search.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if tr != nil {
-		st.mu.Lock()
-		tr.Count(obs.KeyNodesExpanded, st.nodes)
-		tr.Count(obs.KeyBoundCutoffs, st.cutoffs)
-		tr.Count(obs.KeyInfeasible, st.infeasible)
-		tr.Count(obs.KeyIncumbents, st.offers)
-		st.mu.Unlock()
 	}
 	return append([]int(nil), st.bestSet...), nil
 }

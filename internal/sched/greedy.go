@@ -67,15 +67,15 @@ func (sel Selection) admits(i int) bool {
 // greedySolve is the greedy solve over a Selection: the zero Selection
 // is plain Greedy, a masked or weighted one is the traffic engine's
 // per-slot pass (Prepared.ScheduleWeightedInto).
-func greedySolve(pr *Problem, scr *Scratch, sel Selection, tr *obs.Tracer, dst []int) Schedule {
-	sp := tr.StartPhase("sort")
+func greedySolve(pr *Problem, scr *Scratch, sel Selection, tr obs.Span, dst []int) Schedule {
+	sp := tr.Child("sort")
 	order := pickOrder(pr, scr, sel)
 	sp.End()
-	sp = tr.StartPhase("insert")
+	sp = tr.Child("insert")
 	active, rejected := greedyInsert(pr, scr, order)
+	sp.Add(obs.KeyAdmitted, int64(len(active)))
+	sp.Add(obs.KeyRejected, int64(rejected))
 	sp.End()
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, int64(rejected))
 	return finishSchedule("greedy", active, dst)
 }
 

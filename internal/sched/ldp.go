@@ -36,7 +36,7 @@ func (a LDP) Name() string {
 // schedules compared.
 func (a LDP) Solve(ctx context.Context, pr *Problem, _ *Scratch, _ []int) (Schedule, error) {
 	tr := obs.TracerFrom(ctx)
-	sp := tr.StartPhase("classes")
+	sp := tr.Child("classes")
 	classes := pr.Links.LengthClasses()
 	if a.Banded {
 		classes = pr.Links.BandedLengthClasses()
@@ -69,13 +69,14 @@ func filterClasses(classes []network.LengthClass, usable []bool) []network.Lengt
 // for a given class decomposition and grid constant, returning the
 // candidate with the highest total rate. It is shared verbatim between
 // LDP (fading β) and ApproxLogN (deterministic β): the paper's
-// comparison isolates exactly this one constant. tr (nil-safe) takes
-// the partition phase timing and the cell/candidate counters.
-func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64, tr *obs.Tracer) []int {
+// comparison isolates exactly this one constant. The partition phase
+// opens under tr (inert when untraced) and carries the cell/candidate
+// counters.
+func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64, tr obs.Span) []int {
 	if pr.N() == 0 {
 		return nil
 	}
-	sp := tr.StartPhase("partition")
+	sp := tr.Child("partition")
 	defer sp.End()
 	receivers := pr.Links.Receivers()
 	region := geom.BoundingBox(receivers)
@@ -123,9 +124,9 @@ func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64,
 			}
 		}
 	}
-	tr.Count(obs.KeyClasses, nClasses)
-	tr.Count(obs.KeyGridCells, nCells)
-	tr.Count(obs.KeyCandidates, candidates)
+	sp.Add(obs.KeyClasses, nClasses)
+	sp.Add(obs.KeyGridCells, nCells)
+	sp.Add(obs.KeyCandidates, candidates)
 	return best
 }
 

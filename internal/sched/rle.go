@@ -39,7 +39,8 @@ func (a RLE) Name() string {
 }
 
 // Solve implements Algorithm: the shared elimination core reports
-// pick/elimination counters and phase timings to the context's tracer.
+// pick/elimination counters and phase timings to the context's solve
+// trace.
 func (a RLE) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	c2 := a.C2
 	if c2 == 0 {
@@ -86,10 +87,10 @@ type interferenceAccum interface {
 // eliminationSchedule returns the raw (pick-ordered) active set in a
 // scratch-owned buffer; callers copy it out via finishSchedule before
 // the scratch is reused.
-func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr *obs.Tracer, scr *Scratch) []int {
+func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr obs.Span, scr *Scratch) []int {
 	n := pr.N()
 	// Pick order: ascending link length, ties by index (deterministic).
-	sp := tr.StartPhase("sort")
+	sp := tr.Child("sort")
 	ps := scr.pickSorterBufs(n, false)
 	for i := 0; i < n; i++ {
 		ps.k1[i] = pr.Links.Length(i)
@@ -97,7 +98,7 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr *obs.Tracer, scr
 	sort.Stable(ps)
 	sp.End()
 
-	sp = tr.StartPhase("eliminate")
+	sp = tr.Child("eliminate")
 	alive := boolsIn(&scr.alive, n)
 	for i := range alive {
 		alive[i] = cfg.usable == nil || cfg.usable[i]
@@ -142,10 +143,10 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr *obs.Tracer, scr
 		cfg.accum.AddLink(i)
 	}
 	scr.active = active
+	sp.Add(obs.KeyPicks, int64(len(active)))
+	sp.Add(obs.KeyRule1, rule1)
+	sp.Add(obs.KeyRule2, rule2)
 	sp.End()
-	tr.Count(obs.KeyPicks, int64(len(active)))
-	tr.Count(obs.KeyRule1, rule1)
-	tr.Count(obs.KeyRule2, rule2)
 	return active
 }
 

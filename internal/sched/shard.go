@@ -142,28 +142,26 @@ func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	// equals the stable sort of that subset, so every tile considers its
 	// members in exactly the order the unsharded greedy would have
 	// reached them.
-	sp := tr.StartPhase("sort")
+	sp := tr.Child("sort")
 	order := pickOrder(pr, scr, Selection{})
 	sp.End()
 
 	if k <= 1 {
-		return a.finishUnsharded(pr, scr, order, tr, dst, 1), nil
+		return a.finishUnsharded(pr, scr, order, tr, dst), nil
 	}
 
 	sb := scr.shardState()
-	sp = tr.StartPhase("tile_partition")
+	sp = tr.Child("tile_partition")
 	tiles := sb.partition(pr, scr, k, order)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("requested", int64(k))
-		spn.SetInt("tiles", int64(tiles))
-	}
-	sp.End()
+	sp.SetInt("requested", int64(k))
 	if tiles <= 1 {
 		// Degenerate geometry (all receivers in one cell): the tile pass
 		// would just be the global pass with a smaller budget.
-		return a.finishUnsharded(pr, scr, order, tr, dst, 1), nil
+		sp.End()
+		return a.finishUnsharded(pr, scr, order, tr, dst), nil
 	}
-	tr.Count(obs.KeyTiles, int64(tiles))
+	sp.Add(obs.KeyTiles, int64(tiles))
+	sp.End()
 
 	// Solve tiles on a bounded worker pool: workers pull tile indices
 	// from an atomic cursor, check a private Scratch out of the
@@ -182,11 +180,11 @@ func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wsp := tr.StartPhase("tile_solve")
+			wsp := tr.Child("tile_solve")
 			wscr, release := tileScratch(scr)
 			defer release()
 			ta := wscr.tileAccum(pr, sb.tileOf)
-			var solved, visited, rejected int
+			var visited, rejected int
 			for {
 				t := int(cursor.Add(1)) - 1
 				if t >= tiles {
@@ -221,17 +219,13 @@ func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 					adm = append(adm, m)
 				}
 				sb.admCount[t] = int32(len(adm))
-				solved++
 				visited += len(members)
-				// Live progress for mid-solve Stats snapshots
+				// Live progress for mid-solve Stats renders
 				// (GET /debug/state reads these from another goroutine).
-				tr.Count(obs.KeyTilesSolved, 1)
-				tr.Count(obs.KeyTileAdmitted, int64(len(adm)))
+				wsp.Add(obs.KeyTilesSolved, 1)
+				wsp.Add(obs.KeyTileAdmitted, int64(len(adm)))
 			}
-			if spn := wsp.Span(); spn.Enabled() {
-				spn.SetInt("tiles", int64(solved))
-				spn.SetInt("links", int64(visited))
-			}
+			wsp.SetInt("links", int64(visited))
 			wsp.End()
 			tileRejected.Add(int64(rejected))
 		}()
@@ -245,7 +239,7 @@ func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	// infeasible where Greedy's would be accepted — and candidates that
 	// only fit under their tile's blinkered view (boundary conflicts)
 	// are dropped here, counted as repairs.
-	sp = tr.StartPhase("tile_merge")
+	sp = tr.Child("tile_merge")
 	mark := boolsIn(&sb.mark, n)
 	for t := 0; t < tiles; t++ {
 		lo := sb.tileStart[t]
@@ -264,31 +258,25 @@ func (a Sharded) Solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	}
 	sb.cand = cand
 	active, repairs := greedyInsert(pr, scr, cand)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("candidates", int64(len(cand)))
-		spn.SetInt("repairs", int64(repairs))
-	}
+	sp.SetInt("candidates", int64(len(cand)))
+	sp.Add(obs.KeyBoundaryRepairs, int64(repairs))
+	sp.Add(obs.KeyAdmitted, int64(len(active)))
+	sp.Add(obs.KeyRejected, tileRejected.Load()+int64(repairs))
 	sp.End()
-
-	tr.Count(obs.KeyBoundaryRepairs, int64(repairs))
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, tileRejected.Load()+int64(repairs))
 	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // finishUnsharded is the single-tile path: a full-budget greedy
 // insertion over the global pick order, bit-identical to Greedy's
 // activation set (only the algorithm label differs).
-func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, tr *obs.Tracer, dst []int, tiles int) Schedule {
-	sp := tr.StartPhase("tile_merge")
+func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, tr obs.Span, dst []int) Schedule {
+	sp := tr.Child("tile_merge")
 	active, rejected := greedyInsert(pr, scr, order)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("candidates", int64(len(order)))
-	}
+	sp.SetInt("candidates", int64(len(order)))
+	sp.Add(obs.KeyTiles, 1)
+	sp.Add(obs.KeyAdmitted, int64(len(active)))
+	sp.Add(obs.KeyRejected, int64(rejected))
 	sp.End()
-	tr.Count(obs.KeyTiles, int64(tiles))
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, int64(rejected))
 	return finishSchedule(a.Name(), active, dst)
 }
 

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/radio"
 )
 
@@ -194,4 +197,32 @@ func FuzzShardedFeasible(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShardedStatsAtHighGOMAXPROCS: with 64 tile workers at GOMAXPROCS
+// 64 (the partition yields at least the 64 tiles requested), every
+// worker's tile_solve span and counters reach the solve stats —
+// tiles_solved equals tiles, and the workers' spans sum into a single
+// tile_solve phase.
+func TestShardedStatsAtHighGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	pr := MustNewProblem(genLinkSet(t, 1200, 5, 2000), radio.DefaultParams(),
+		WithSparseField(SparseOptions{Cutoff: 1e-6}))
+	tr := obs.NewTracer()
+	if _, err := ScheduleContext(obs.WithTracer(context.Background(), tr), Sharded{Shards: 64}, pr); err != nil {
+		t.Fatal(err)
+	}
+	st := tr.Stats()
+	if tiles := st.Counter(obs.KeyTiles); tiles < 64 || st.Counter(obs.KeyTilesSolved) != tiles {
+		t.Fatalf("tiles = %d, tiles_solved = %d; want equal and ≥ 64", tiles, st.Counter(obs.KeyTilesSolved))
+	}
+	n := 0
+	for _, p := range st.Phases {
+		if p.Name == "tile_solve" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("phases %+v: want one summed tile_solve", st.Phases)
+	}
 }

@@ -155,9 +155,9 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	s.liveMu.Lock()
 	shardSolves := make([]debugShardSolveInfo, 0, len(s.liveSolves))
 	for ls := range s.liveSolves {
-		// Stats snapshots the tracer under its own mutex; the tile
-		// workers bumping these counters mid-solve are safe concurrent
-		// writers.
+		// Stats renders the live solve trace under its own mutex; the
+		// tile workers bumping these counters mid-solve are safe
+		// concurrent writers.
 		st := ls.tr.Stats()
 		shardSolves = append(shardSolves, debugShardSolveInfo{
 			TraceID:         ls.traceID,

@@ -481,26 +481,26 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 		return nil, err
 	}
 	pr := prep.Problem()
-	// The tracer rides the context into the solver; its snapshot is the
-	// response's stats field. Trace stats go in the cached body — a hit
-	// replays the first solve's timings, which is the honest answer for
-	// a response that did no solving — while the per-request trace ID
-	// stays in the X-Trace-Id header only, keeping cached bodies
-	// byte-identical across requests. AttachSpan mirrors the tracer's
-	// phases as spans under "solve", so the flight-recorder trace shows
-	// the same phase breakdown the response stats report.
+	// The solve trace rides the context into the solver; its Stats
+	// render is the response's stats field. It is the solve's own small
+	// trace, not the request's, so the stats never depend on whether
+	// the request is traced or how full its arena is. Trace stats go in
+	// the cached body — a hit replays the first solve's timings, which
+	// is the honest answer for a response that did no solving — while
+	// the per-request trace ID stays in the X-Trace-Id header only,
+	// keeping cached bodies byte-identical across requests. Grafting
+	// the finished solve trace under "solve" makes the flight-recorder
+	// trace show the same phases and counters the response stats report.
 	solveSp := root.Child("solve")
-	if solveSp.Enabled() {
-		solveSp.SetInt("links", int64(pr.N()))
-		if q.Shards > 0 {
-			solveSp.SetInt("shards", int64(q.Shards))
-		}
+	if q.Shards > 0 {
+		solveSp.SetInt("shards", int64(q.Shards))
 	}
-	tr := obs.NewTracer().AttachSpan(solveSp)
+	tr := obs.NewTracer()
 	ctx = obs.WithTracer(ctx, tr)
 	live := s.trackLiveSolve(ctx, a, pr.N(), tr)
-	schedule, err := solve(ctx, a, prep)
+	schedule, err := solve(ctx, a, prep, nil)
 	s.untrackLiveSolve(live)
+	solveSp.Graft(tr)
 	solveSp.End()
 	if err != nil {
 		s.metrics.SolveError()
@@ -569,35 +569,36 @@ type badRequestError struct{ msg string }
 func (e *badRequestError) Error() string { return e.msg }
 
 // solve runs the resolved algorithm through the prepared handle's
-// pooled scratch, converting solver panics into errors so a valid-JSON
-// request can never drop the connection: the library's panic contracts
-// (Exact refusing n > MaxN) are programmer guards, not acceptable
-// daemon behavior.
-func solve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared) (s sched.Schedule, err error) {
+// pooled scratch, writing the active set into dst[:0] (nil allocates a
+// fresh one), and converts solver panics into errors so a valid-JSON
+// request or session event can never drop the connection: the
+// library's panic contracts (Exact refusing n > MaxN) are programmer
+// guards, not acceptable daemon behavior.
+func solve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared, dst []int) (s sched.Schedule, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &solverRefusedError{reason: fmt.Sprintf("solver %q refused the instance: %v", a.Name(), r)}
 		}
 	}()
-	return prep.ScheduleContext(ctx, a)
+	return prep.ScheduleInto(ctx, a, dst[:0])
 }
 
 // liveSolve is one in-flight sharded solve, registered for the
-// lifetime of the solver call so GET /debug/state can snapshot its
-// tile fan-out from the (mutex-protected) tracer counters.
+// lifetime of the solver call so GET /debug/state can render its tile
+// fan-out from the live solve trace's counters.
 type liveSolve struct {
 	traceID   string
 	algorithm string
 	shards    int // requested tile count; 0 = auto
 	links     int
 	started   time.Time
-	tr        *obs.Tracer
+	tr        *obs.Trace
 }
 
 // trackLiveSolve registers a solve in the live registry when the
 // resolved algorithm is tile-sharded; for every other algorithm it is
 // a no-op returning nil (untrackLiveSolve tolerates nil).
-func (s *Server) trackLiveSolve(ctx context.Context, a sched.Algorithm, links int, tr *obs.Tracer) *liveSolve {
+func (s *Server) trackLiveSolve(ctx context.Context, a sched.Algorithm, links int, tr *obs.Trace) *liveSolve {
 	sh, ok := a.(sched.Sharded)
 	if !ok {
 		return nil

@@ -215,18 +215,6 @@ func sessionFieldKey(base cacheKey, id string) cacheKey {
 	return cacheKey(h.Sum(nil))
 }
 
-// sessionSolve runs the session's algorithm through its prepared
-// handle with the session-owned result buffer, converting solver
-// panics into errors (same contract as solve).
-func sessionSolve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared, dst []int) (sch sched.Schedule, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("solver %q refused the instance: %v", a.Name(), r)
-		}
-	}()
-	return prep.ScheduleInto(ctx, a, dst[:0])
-}
-
 // encodeDelta marshals a delta as one newline-terminated frame. Empty
 // difference sets encode as [] rather than null so clients see one
 // shape regardless of which reused buffer happened to be nil.
@@ -453,7 +441,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	solveSp := root.Child("solve")
-	sch, err := sessionSolve(ctx, algo, prep, nil)
+	sch, err := solve(ctx, algo, prep, nil)
 	solveSp.End()
 	s.pool.release()
 	if err != nil {
@@ -563,7 +551,7 @@ func (s *Server) applySessionEvent(ctx context.Context, sess *session, ev *netwo
 	}
 
 	solveSp := esp.Child("solve")
-	sch, err := sessionSolve(ectx, sess.algo, sess.ed.Prepared(), sess.spare)
+	sch, err := solve(ectx, sess.algo, sess.ed.Prepared(), sess.spare)
 	solveSp.End()
 	if err != nil {
 		// The geometry changed but the schedule could not follow; the

@@ -170,10 +170,10 @@ func TestDebugStateShardSolves(t *testing.T) {
 	defer ts.Close()
 
 	tr := obs.NewTracer()
-	tr.Count(obs.KeyTiles, 16)
-	tr.Count(obs.KeyTilesSolved, 7)
-	tr.Count(obs.KeyTileAdmitted, 123)
-	tr.Count(obs.KeyBoundaryRepairs, 4)
+	tr.Root().Add(obs.KeyTiles, 16)
+	tr.Root().Add(obs.KeyTilesSolved, 7)
+	tr.Root().Add(obs.KeyTileAdmitted, 123)
+	tr.Root().Add(obs.KeyBoundaryRepairs, 4)
 	ctx := obs.WithTraceID(t.Context(), "0123456789abcdef0123456789abcdef")
 	live := srv.trackLiveSolve(ctx, sched.Sharded{Shards: 16}, 5000, tr)
 	if live == nil {

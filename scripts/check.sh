@@ -30,13 +30,24 @@ go test -race -short ./...
 
 echo "== observability race pass"
 # Re-run the obs registry and serving stack uncached: these suites hold
-# the scrape-vs-record and tracer concurrency race tests.
+# the scrape-vs-record and span/solve-trace concurrency race tests.
 go test -race -count=1 ./internal/obs ./internal/server
 
 echo "== obs overhead gate"
-# TestTracerDisabledAllocs is the hard 0 allocs/op gate on the nil
-# tracer; the benchmark run alongside prints the ns/op evidence.
+# TestTracerDisabledAllocs is the hard 0 allocs/op gate on the untraced
+# solve path (TracerFrom on a context without a solve trace → inert
+# span → Child/Add/End); the benchmark run alongside prints the ns/op
+# evidence.
 go test -run TestTracerDisabledAllocs -bench BenchmarkTracerDisabled -benchtime 1000x -count=1 ./internal/obs
+
+echo "== solve stats gate"
+# The per-algorithm stats oracle (phase names, counter keys and the
+# deterministic counter values) at 1, 2 and 4 CPUs, and the overflow
+# tests: a solve trace never drops a phase or counter (64 tile workers
+# at GOMAXPROCS 64), response stats never depend on the request trace's
+# arena, and only /v1/solve traces gain solver phase spans.
+go test -run 'TestSolveStatsOracle|TestShardedStatsAtHighGOMAXPROCS' -cpu 1,2,4 -count=1 ./internal/sched/
+go test -race -run 'TestTracerNeverDropsSpans|TestTracerGraftOverflow|TestTracerPhaseSpans|TestBatchStatsSurviveArenaOverflow|TestSolveTraceShowsSolverPhases|TestSessionAndTrafficTracesHaveNoSolverPhases' -count=1 ./internal/obs/ ./internal/server/
 
 echo "== prepared zero-alloc gate"
 # The steady-state 0 allocs/op contract on greedy/RLE/diversity solves
