@@ -57,16 +57,21 @@ func abs(x float64) float64 {
 // side from the per-receiver truncation radii; a median is robust to
 // the heavy-tailed radius distributions heterogeneous powers produce.
 func Median(xs []float64) float64 {
+	return MedianInPlace(append([]float64(nil), xs...))
+}
+
+// MedianInPlace is Median computed by sorting xs itself instead of a
+// copy: the allocation-free form for callers that own the buffer.
+func MedianInPlace(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sortFloats(sorted)
+	sortFloats(xs)
 	if n%2 == 1 {
-		return sorted[n/2]
+		return xs[n/2]
 	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // sortFloats is insertion sort for small inputs and quicksort-by-stdlib

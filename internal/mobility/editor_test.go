@@ -73,11 +73,12 @@ func assertEditorMatchesFresh(t *testing.T, ed *Editor, opts ...sched.Option) {
 // differential oracle after every single event.
 func TestEditorMatchesFresh(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []sched.Option
+		name    string
+		opts    []sched.Option
+		patches bool // moves rebind and add/remove splice instead of rebuilding
 	}{
-		{"dense", nil},
-		{"sparse", []sched.Option{sched.WithSparseField(sched.SparseOptions{})}},
+		{"dense", nil, true},
+		{"sparse", []sched.Option{sched.WithSparseField(sched.SparseOptions{})}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ed := editorFixture(t, 14, 3, tc.opts...)
@@ -109,16 +110,18 @@ func TestEditorMatchesFresh(t *testing.T) {
 				}
 				assertEditorMatchesFresh(t, ed, tc.opts...)
 			}
-			if ed.Rebinds() == 0 || ed.Rebuilds() == 0 {
-				t.Fatalf("sequence exercised rebinds=%d rebuilds=%d; want both > 0",
-					ed.Rebinds(), ed.Rebuilds())
+			// Dense moves rebind and dense adds/removes splice; every
+			// geometry event on the sparse backend is a rebuild.
+			if (ed.Rebinds() > 0) != tc.patches || (ed.Splices() > 0) != tc.patches || (ed.Rebuilds() > 0) == tc.patches {
+				t.Fatalf("sequence exercised rebinds=%d splices=%d rebuilds=%d (patching backend: %v)",
+					ed.Rebinds(), ed.Splices(), ed.Rebuilds(), tc.patches)
 			}
 		})
 	}
 }
 
-// TestEditorMoveIsIncremental pins the cost model: moves must go
-// through Rebind (no rebuild), add/remove must rebuild.
+// TestEditorMoveIsIncremental pins the dense cost model: moves must go
+// through Rebind, add/remove must splice — neither ever rebuilds.
 func TestEditorMoveIsIncremental(t *testing.T) {
 	ed := editorFixture(t, 10, 7)
 	before := ed.Prepared()
@@ -126,8 +129,8 @@ func TestEditorMoveIsIncremental(t *testing.T) {
 	if err := ed.Move(3, &p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ed.Rebinds() != 1 || ed.Rebuilds() != 0 {
-		t.Fatalf("move: rebinds=%d rebuilds=%d", ed.Rebinds(), ed.Rebuilds())
+	if ed.Rebinds() != 1 || ed.Splices() != 0 || ed.Rebuilds() != 0 {
+		t.Fatalf("move: rebinds=%d splices=%d rebuilds=%d", ed.Rebinds(), ed.Splices(), ed.Rebuilds())
 	}
 	if ed.Prepared() != before {
 		t.Fatal("move replaced the prepared handle; it must patch in place")
@@ -135,8 +138,8 @@ func TestEditorMoveIsIncremental(t *testing.T) {
 	if err := ed.Add(network.Link{Sender: geom.Point{X: 1, Y: 1}, Receiver: geom.Point{X: 2, Y: 1}, Rate: 1, Power: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if ed.Rebuilds() != 1 {
-		t.Fatalf("add: rebuilds=%d, want 1", ed.Rebuilds())
+	if ed.Splices() != 1 || ed.Rebuilds() != 0 {
+		t.Fatalf("add: splices=%d rebuilds=%d, want 1 and 0", ed.Splices(), ed.Rebuilds())
 	}
 	if ed.Prepared() == before {
 		t.Fatal("add kept the old handle despite a changed link count")
@@ -144,8 +147,8 @@ func TestEditorMoveIsIncremental(t *testing.T) {
 	if err := ed.Remove(ed.N() - 1); err != nil {
 		t.Fatal(err)
 	}
-	if ed.Rebuilds() != 2 {
-		t.Fatalf("remove: rebuilds=%d, want 2", ed.Rebuilds())
+	if ed.Splices() != 2 || ed.Rebuilds() != 0 {
+		t.Fatalf("remove: splices=%d rebuilds=%d, want 2 and 0", ed.Splices(), ed.Rebuilds())
 	}
 }
 
@@ -157,7 +160,7 @@ func TestEditorRejectedEventLeavesStateUntouched(t *testing.T) {
 	ed := editorFixture(t, 8, 11)
 	linksBefore := ed.Links()
 	prepBefore := ed.Prepared()
-	genBefore := ed.Rebinds() + ed.Rebuilds()
+	genBefore := ed.Rebinds() + ed.Splices() + ed.Rebuilds()
 
 	occupied := linksBefore[0].Sender // colliding with another sender is invalid
 	cases := []struct {
@@ -192,7 +195,7 @@ func TestEditorRejectedEventLeavesStateUntouched(t *testing.T) {
 			if ed.Prepared() != prepBefore {
 				t.Fatal("rejected event replaced the prepared handle")
 			}
-			if ed.Rebinds()+ed.Rebuilds() != genBefore {
+			if ed.Rebinds()+ed.Splices()+ed.Rebuilds() != genBefore {
 				t.Fatal("rejected event advanced the mutation counters")
 			}
 			after := ed.Links()

@@ -63,19 +63,8 @@ func NewLinkSet(links []Link) (*LinkSet, error) {
 	seenS := make(map[geom.Point]int, n)
 	seenR := make(map[geom.Point]int, n)
 	for i, l := range ls.links {
-		if !(l.Rate > 0) || math.IsInf(l.Rate, 1) {
-			return nil, fmt.Errorf("link %d: rate %v must be positive and finite", i, l.Rate)
-		}
-		if l.Power < 0 || math.IsInf(l.Power, 1) || math.IsNaN(l.Power) {
-			return nil, fmt.Errorf("link %d: power %v must be zero (default) or positive and finite", i, l.Power)
-		}
-		for _, v := range []float64{l.Sender.X, l.Sender.Y, l.Receiver.X, l.Receiver.Y} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("link %d: non-finite coordinate", i)
-			}
-		}
-		if l.Length() <= 0 {
-			return nil, fmt.Errorf("link %d: zero-length link at %v", i, l.Sender)
+		if err := checkLink(i, l); err != nil {
+			return nil, err
 		}
 		if j, dup := seenS[l.Sender]; dup {
 			return nil, fmt.Errorf("links %d and %d share sender location %v", j, i, l.Sender)
@@ -88,6 +77,68 @@ func NewLinkSet(links []Link) (*LinkSet, error) {
 		ls.length[i] = l.Length()
 	}
 	return ls, nil
+}
+
+// checkLink is NewLinkSet's per-link validation of link i.
+func checkLink(i int, l Link) error {
+	if !(l.Rate > 0) || math.IsInf(l.Rate, 1) {
+		return fmt.Errorf("link %d: rate %v must be positive and finite", i, l.Rate)
+	}
+	if l.Power < 0 || math.IsInf(l.Power, 1) || math.IsNaN(l.Power) {
+		return fmt.Errorf("link %d: power %v must be zero (default) or positive and finite", i, l.Power)
+	}
+	for _, v := range []float64{l.Sender.X, l.Sender.Y, l.Receiver.X, l.Receiver.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("link %d: non-finite coordinate", i)
+		}
+	}
+	if l.Length() <= 0 {
+		return fmt.Errorf("link %d: zero-length link at %v", i, l.Sender)
+	}
+	return nil
+}
+
+// WithLink returns a copy of ls with link i replaced by l. It accepts
+// and rejects exactly what NewLinkSet would on the replaced list, with
+// the same error, but in O(n) without maps: the other n−1 links are
+// already valid and pairwise distinct, so only l is checked — itself,
+// then against each other link in the order NewLinkSet's scan would
+// reach the collision.
+func (ls *LinkSet) WithLink(i int, l Link) (*LinkSet, error) {
+	if i < 0 || i >= ls.n {
+		return nil, fmt.Errorf("link %d out of range [0,%d)", i, ls.n)
+	}
+	if err := checkLink(i, l); err != nil {
+		return nil, err
+	}
+	// NewLinkSet reports a collision at the later link of the pair:
+	// for k < i at link i (sender before receiver), for k > i at link
+	// k, printing that later link's location.
+	for k := 0; k < i; k++ {
+		if ls.links[k].Sender == l.Sender {
+			return nil, fmt.Errorf("links %d and %d share sender location %v", k, i, l.Sender)
+		}
+	}
+	for k := 0; k < i; k++ {
+		if ls.links[k].Receiver == l.Receiver {
+			return nil, fmt.Errorf("links %d and %d share receiver location %v", k, i, l.Receiver)
+		}
+	}
+	for k := i + 1; k < ls.n; k++ {
+		if o := ls.links[k]; o.Sender == l.Sender {
+			return nil, fmt.Errorf("links %d and %d share sender location %v", i, k, o.Sender)
+		} else if o.Receiver == l.Receiver {
+			return nil, fmt.Errorf("links %d and %d share receiver location %v", i, k, o.Receiver)
+		}
+	}
+	next := &LinkSet{
+		links:  append([]Link(nil), ls.links...),
+		length: append([]float64(nil), ls.length...),
+		n:      ls.n,
+	}
+	next.links[i] = l
+	next.length[i] = l.Length()
+	return next, nil
 }
 
 // MustNewLinkSet is NewLinkSet for inputs known valid at construction

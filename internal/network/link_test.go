@@ -133,3 +133,64 @@ func TestMustNewLinkSetPanics(t *testing.T) {
 	}()
 	MustNewLinkSet([]Link{{Sender: geom.Point{X: 0, Y: 0}, Receiver: geom.Point{X: 0, Y: 0}, Rate: 1}})
 }
+
+// TestWithLinkMatchesNewLinkSet: replacing one link of a valid set on a
+// small coordinate grid (so collisions with links on either side of the
+// replaced index, zero lengths and signed zeros are common) must
+// accept exactly what NewLinkSet accepts on the replaced list, with the
+// same error text, and otherwise give the same links and lengths while
+// leaving the original set untouched.
+func TestWithLinkMatchesNewLinkSet(t *testing.T) {
+	coord := func(k int) float64 {
+		if k == 0 {
+			return math.Copysign(0, -1)
+		}
+		return float64(k % 4)
+	}
+	var links []Link
+	for i := 0; i < 8; i++ {
+		links = append(links, Link{Sender: geom.Point{X: float64(i), Y: 0}, Receiver: geom.Point{X: float64(i), Y: 1}, Rate: 1})
+	}
+	ls := MustNewLinkSet(links)
+	seed := uint64(1)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	accepted := 0
+	for trial := 0; trial < 4000; trial++ {
+		i := next(len(links))
+		l := Link{
+			Sender:   geom.Point{X: coord(next(9)), Y: coord(next(3))},
+			Receiver: geom.Point{X: coord(next(9)), Y: coord(next(3))},
+			Rate:     1,
+		}
+		repl := append([]Link(nil), links...)
+		repl[i] = l
+		want, wantErr := NewLinkSet(repl)
+		got, err := ls.WithLink(i, l)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("replace %d with %+v: WithLink error %v, NewLinkSet error %v", i, l, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		accepted++
+		for k := range repl {
+			if got.Link(k) != want.Link(k) || got.Length(k) != want.Length(k) {
+				t.Fatalf("replace %d: link %d = %+v/%v, want %+v/%v", i, k, got.Link(k), got.Length(k), want.Link(k), want.Length(k))
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no replacement was valid; the grid exercises rejections only")
+	}
+	for k, l := range links {
+		if ls.Link(k) != l {
+			t.Fatalf("WithLink mutated the original set at %d", k)
+		}
+	}
+	if _, err := ls.WithLink(len(links), links[0]); err == nil {
+		t.Fatal("out-of-range index accepted")
+	}
+}

@@ -165,6 +165,7 @@ func (r *Recorder) Record(t *Trace) {
 		t.release()
 		return
 	}
+	t.compact()
 	r.kept++
 	var evicted *Trace
 	if len(r.ring) < cap(r.ring) {

@@ -214,3 +214,30 @@ func TestValidTraceID(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderCompactsKeptTraces: a kept trace that used at most half
+// of its arena is retained as an exact-size copy (its export
+// unchanged), while a trace that filled its arena keeps it.
+func TestRecorderCompactsKeptTraces(t *testing.T) {
+	rec := NewRecorder(RecorderConfig{Capacity: 4})
+	small := finishedTrace("00000000000000aa", 200)
+	want, _ := json.Marshal(small.Snapshot())
+	rec.Record(small)
+	snap, ok := rec.Get("00000000000000aa")
+	if got, _ := json.Marshal(snap); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("compaction changed the export:\n got %s\nwant %s", got, want)
+	}
+	if c := cap(small.spans); c >= DefaultMaxSpans {
+		t.Fatalf("small kept trace retains a %d-span arena", c)
+	}
+
+	big := NewTrace("00000000000000bb", "stream")
+	for i := 0; i < DefaultMaxSpans; i++ {
+		big.Root().Child("event").End()
+	}
+	big.Finish(200)
+	rec.Record(big)
+	if c := cap(big.spans); c != DefaultMaxSpans {
+		t.Fatalf("full kept trace arena cap %d, want %d", c, DefaultMaxSpans)
+	}
+}

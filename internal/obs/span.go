@@ -159,6 +159,24 @@ func (t *Trace) release() {
 	tracePool.Put(t)
 }
 
+// compact shrinks a finished trace that used at most half of its
+// default-capacity arena to an exact-size copy of its spans and returns
+// the arena to the pool. The recorder keeps up to its capacity of
+// traces, and most requests use a small fraction of their arena, so
+// without this the retained memory tracks the number of requests seen
+// rather than the spans actually recorded.
+func (t *Trace) compact() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cap(t.spans) != DefaultMaxSpans || len(t.spans) > DefaultMaxSpans/2 {
+		return
+	}
+	arena := t.spans
+	t.spans = append([]spanRecord(nil), arena...)
+	clear(arena)
+	tracePool.Put(&Trace{spans: arena[:0]})
+}
+
 // ID returns the trace ID.
 func (t *Trace) ID() string {
 	if t == nil {

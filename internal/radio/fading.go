@@ -107,7 +107,15 @@ func (p Params) TruncationRadius(pj, djj, pmax, cutoff float64) float64 {
 // factor satisfies the Corollary 3.1 feasibility condition
 // Σ f_ij ≤ γ_ε, i.e. succeeds with probability at least 1−ε.
 func (p Params) Informed(totalFactor float64) bool {
-	return totalFactor <= p.GammaEps()+feasibilitySlack
+	return totalFactor <= p.InformedLimit()
+}
+
+// InformedLimit is the threshold Informed compares against, γ_ε plus
+// the rounding slack: Informed(x) ≡ x <= InformedLimit(). Hot loops
+// that test many loads against one budget hoist it once instead of
+// recomputing γ_ε (a log1p) per check.
+func (p Params) InformedLimit() float64 {
+	return p.GammaEps() + feasibilitySlack
 }
 
 // InformedBudget is Informed against an explicit budget instead of the

@@ -1,7 +1,5 @@
 package sched
 
-import "repro/internal/radio"
-
 // Accum is the incremental feasibility accumulator every scheduler
 // maintains its working interference state in. It tracks, per receiver
 // j, the conservative load
@@ -26,7 +24,11 @@ type Accum struct {
 	// when the backend is the exact matrix (nil otherwise).
 	dense    *DenseField
 	gammaEps float64
-	load     []float64
+	// limit is radio.Params.InformedLimit (γ_ε plus the rounding
+	// slack), hoisted once per solve so admits compares without
+	// recomputing γ_ε per pair.
+	limit float64
+	load  []float64
 	// nearPow[j] = Σ P_i over active i whose factor on j is stored,
 	// plus P_j when j itself is active (a link never far-interferes
 	// with its own receiver). Unused (nil) when hasTail is false.
@@ -54,8 +56,15 @@ func NewAccum(pr *Problem) *Accum {
 func NewInterferenceAccum(pr *Problem) *Accum {
 	a := &Accum{}
 	a.reset(pr.field)
-	a.gammaEps = pr.GammaEps()
+	a.setBudget(pr)
 	return a
+}
+
+// setBudget records pr's γ_ε and the Informed threshold derived from
+// it; reset leaves both zero.
+func (a *Accum) setBudget(pr *Problem) {
+	a.gammaEps = pr.GammaEps()
+	a.limit = pr.Params.InformedLimit()
 }
 
 // reset rebinds a to f with an empty active set and zero base load,
@@ -65,7 +74,7 @@ func (a *Accum) reset(f InterferenceField) {
 	n := f.N()
 	a.field = f
 	a.dense, _ = f.(*DenseField)
-	a.gammaEps = 0
+	a.gammaEps, a.limit = 0, 0
 	a.load = floatsIn(&a.load, n)
 	clear(a.load)
 	a.actPow = 0
@@ -92,13 +101,15 @@ func (a *Accum) reset(f InterferenceField) {
 	}
 }
 
-// AddLink folds sender i into the active set.
+// AddLink folds sender i into the active set. The dense path adds
+// the whole row without a branch: off-diagonal entries are stored
+// factors and the diagonal is +0, and adding +0 to a load ≥ +0 leaves
+// its bits unchanged, so the result equals the skip-zeros walk.
 func (a *Accum) AddLink(i int) {
 	if a.dense != nil {
+		load := a.load[:len(a.dense.row(i))]
 		for j, v := range a.dense.row(i) {
-			if v > 0 {
-				a.load[j] += v
-			}
+			load[j] += v
 		}
 		return
 	}
@@ -121,10 +132,9 @@ func (a *Accum) AddLink(i int) {
 // searches should Clone before speculative adds instead.
 func (a *Accum) RemoveLink(i int) {
 	if a.dense != nil {
+		load := a.load[:len(a.dense.row(i))]
 		for j, v := range a.dense.row(i) {
-			if v > 0 {
-				a.load[j] -= v
-			}
+			load[j] -= v
 		}
 		return
 	}
@@ -180,14 +190,31 @@ func (a *Accum) Contribution(i, j int) float64 {
 // admits is Corollary 3.1's insertion test, the one feasibility check
 // every inserting scheduler applies: sender i may join the active set
 // (listed in active) iff its own receiver is informed under the current
-// set and every active receiver stays informed with i added. Informed
-// applies the same rounding slack as Verify.
-func (a *Accum) admits(p radio.Params, i int, active []int) bool {
-	if !p.Informed(a.Load(i)) {
+// set and every active receiver stays informed with i added. The
+// threshold is the hoisted Informed limit, so the rounding slack is
+// the same as Verify's. On the dense backend Load is the raw load and
+// Contribution the raw row entry (+0 on the diagonal and for zero
+// factors, where Contribution returns a literal 0), so the check reads
+// sender i's row directly with no interface call per pair.
+func (a *Accum) admits(i int, active []int) bool {
+	lim := a.limit
+	if a.dense != nil {
+		load, row := a.load, a.dense.row(i)
+		if !(load[i] <= lim) {
+			return false
+		}
+		for _, j := range active {
+			if !(load[j]+row[j] <= lim) {
+				return false
+			}
+		}
+		return true
+	}
+	if !(a.Load(i) <= lim) {
 		return false
 	}
 	for _, j := range active {
-		if !p.Informed(a.Load(j) + a.Contribution(i, j)) {
+		if !(a.Load(j)+a.Contribution(i, j) <= lim) {
 			return false
 		}
 	}
@@ -203,6 +230,7 @@ func (a *Accum) Clone() *Accum {
 		field:    a.field,
 		dense:    a.dense,
 		gammaEps: a.gammaEps,
+		limit:    a.limit,
 		load:     append([]float64(nil), a.load...),
 		tail:     a.tail,
 		actPow:   a.actPow,
@@ -219,7 +247,7 @@ func (a *Accum) Clone() *Accum {
 // destinations. Like Clone, the immutable field and tail bounds are
 // shared, the mutable load state is copied.
 func (a *Accum) CloneInto(dst *Accum) {
-	dst.field, dst.dense, dst.gammaEps = a.field, a.dense, a.gammaEps
+	dst.field, dst.dense, dst.gammaEps, dst.limit = a.field, a.dense, a.gammaEps, a.limit
 	dst.tail, dst.actPow, dst.hasTail = a.tail, a.actPow, a.hasTail
 	dst.load = append(dst.load[:0], a.load...)
 	if a.nearPow != nil {

@@ -239,3 +239,53 @@ func (f *DenseField) rebind(ls *network.LinkSet, moved []int) {
 		}
 	}
 }
+
+// spliced returns a new dense field over ls, which is f's link set
+// with link removed deleted (removed ≥ 0) or with one link appended
+// (removed < 0). A factor depends only on its own pair's geometry and
+// power, so every kept pair is copied from f as row runs; only an
+// appended link's row and column are computed, through rebind, which
+// is already bit-identical to a full fill. The result shares no
+// storage with f.
+func (f *DenseField) spliced(ls *network.LinkSet, removed int) *DenseField {
+	n := ls.Len()
+	vec := func(v []float64) []float64 {
+		out := make([]float64, n)
+		spliceCopy(out, v, removed)
+		return out
+	}
+	g := &DenseField{
+		ls: ls, params: f.params, kern: f.kern, n: n,
+		factor: make([]float64, n*n),
+		noise:  vec(f.noise),
+		power:  vec(f.power),
+		sx:     vec(f.sx),
+		sy:     vec(f.sy),
+		rx:     vec(f.rx),
+		ry:     vec(f.ry),
+		kc:     vec(f.kc),
+	}
+	kept := min(n, f.n)
+	for k := 0; k < kept; k++ {
+		o := k
+		if removed >= 0 && k >= removed {
+			o++
+		}
+		spliceCopy(g.factor[k*n:(k+1)*n], f.row(o), removed)
+	}
+	if removed < 0 {
+		g.rebind(ls, []int{n - 1})
+	}
+	return g
+}
+
+// spliceCopy copies src into dst skipping index removed (removed < 0
+// copies all of src).
+func spliceCopy(dst, src []float64, removed int) {
+	if removed < 0 {
+		copy(dst, src)
+		return
+	}
+	copy(dst, src[:removed])
+	copy(dst[removed:], src[removed+1:])
+}

@@ -176,7 +176,7 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 		// Exclude branch.
 		build(d+1, set, acc, rate)
 		// Include branch, if the prefix stays feasible.
-		if ni, ok := tryInclude(pr, set, acc, i); ok {
+		if ni, ok := tryInclude(set, acc, i); ok {
 			build(d+1, append(set, i), ni, rate+pr.Links.Rate(i))
 		}
 	}
@@ -218,8 +218,8 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 // (including i's own). acc is not mutated: branches clone rather than
 // add-and-undo, so backtracking is bit-exact (a remove only restores
 // the value, not necessarily the bits, near the feasibility slack).
-func tryInclude(pr *Problem, set []int, acc *Accum, i int) (*Accum, bool) {
-	if !acc.admits(pr.Params, i, set) {
+func tryInclude(set []int, acc *Accum, i int) (*Accum, bool) {
+	if !acc.admits(i, set) {
 		return nil, false
 	}
 	ni := acc.Clone()
@@ -243,7 +243,7 @@ func dfs(pr *Problem, st *exactState, order []int, suffixRate []float64, d int, 
 	i := order[d]
 	// Include first: descending-rate order means the include branch is
 	// the one that can raise the incumbent fastest.
-	if ni, ok := tryInclude(pr, set, acc, i); ok {
+	if ni, ok := tryInclude(set, acc, i); ok {
 		dfs(pr, st, order, suffixRate, d+1, append(set, i), ni, rate+pr.Links.Rate(i), cnt)
 	} else {
 		cnt.infeasible++

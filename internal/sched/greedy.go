@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -81,31 +80,25 @@ func greedySolve(pr *Problem, scr *Scratch, sel Selection, tr obs.Span, dst []in
 
 // pickOrder returns the links sel admits in greedy pick order, in a
 // scratch-owned buffer: descending rate, ties by ascending length, then
-// by index (sort.Stable). Keys are negated so the shared ascending
-// two-key sorter realizes the descending order. With weights the
-// primary key is the weight and rate breaks ties. Only admitted links
-// are sorted: a stable sort restricted to a subset equals the stable
-// sort of that subset, so a masked solve matches the sub-problem solve
-// exactly.
+// by index. Keys are negated so the shared ascending key sort realizes
+// the descending order. With weights the primary key is the weight and
+// rate breaks ties. Only admitted links are sorted, and the index
+// tie-break makes the order of a subset the restriction of the full
+// order, so a masked solve matches the sub-problem solve exactly.
 func pickOrder(pr *Problem, scr *Scratch, sel Selection) []int {
 	n := pr.N()
-	ps := scr.pickSorterBufs(n, true)
-	m := 0
+	keys := scr.pickKeysBuf(n)
 	for i := 0; i < n; i++ {
 		if !sel.admits(i) {
 			continue
 		}
-		ps.order[m] = i
 		if sel.Weights == nil {
-			ps.k1[m], ps.k2[m] = -pr.Links.Rate(i), pr.Links.Length(i)
+			keys = append(keys, pickKey{-pr.Links.Rate(i), pr.Links.Length(i), i})
 		} else {
-			ps.k1[m], ps.k2[m] = -sel.Weights[i], -pr.Links.Rate(i)
+			keys = append(keys, pickKey{-sel.Weights[i], -pr.Links.Rate(i), i})
 		}
-		m++
 	}
-	ps.order, ps.k1, ps.k2 = ps.order[:m], ps.k1[:m], ps.k2[:m]
-	sort.Stable(ps)
-	return ps.order
+	return scr.sortPicks(keys)
 }
 
 // greedyInsert is the one greedy insertion loop: it walks order and
@@ -134,7 +127,7 @@ func greedyInsert(pr *Problem, scr *Scratch, order []int) (active []int, rejecte
 func scanInsert(pr *Problem, acc *Accum, active, order []int) ([]int, int) {
 	rejected := 0
 	for _, i := range order {
-		if !acc.admits(pr.Params, i, active) {
+		if !acc.admits(i, active) {
 			rejected++
 			continue
 		}
@@ -187,6 +180,7 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 		tmin = math.Min(tmin, t)
 		tmax = math.Max(tmax, t)
 	}
+	lim := acc.limit // x <= lim is pr.Params.Informed(x)
 	m := func(j int) float64 { return acc.load[j] - acc.tail[j]*acc.nearPow[j] }
 	M := math.Inf(-1)
 	for _, j := range active {
@@ -197,7 +191,7 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 	// the loop would escape to the heap on every candidate.
 	var ok bool
 	nearCheck := func(j int, f float64) {
-		if ok && isActive[j] && !pr.Params.Informed(acc.Load(j)+f) {
+		if ok && isActive[j] && !(acc.Load(j)+f <= lim) {
 			ok = false
 		}
 	}
@@ -209,7 +203,7 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 		}
 	}
 	for _, i := range order {
-		if !pr.Params.Informed(acc.Load(i)) {
+		if !(acc.Load(i) <= lim) {
 			rejected++
 			continue
 		}
@@ -217,11 +211,11 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 		if len(active) > 0 {
 			aPrime := acc.actPow + acc.field.PowerOf(i)
 			margin := 1e-9 * (acc.gammaEps + math.Abs(M) + tmax*aPrime)
-			if !pr.Params.Informed(M + tmin*aPrime - margin) {
+			if !(M+tmin*aPrime-margin <= lim) {
 				// Even the weakest tail charge overflows the most loaded
 				// receiver: every variant of its exact check fails too.
 				ok = false
-			} else if pr.Params.Informed(M + tmax*aPrime + margin) {
+			} else if M+tmax*aPrime+margin <= lim {
 				// Far field clears the budget everywhere; only stored
 				// active neighbors can still object.
 				acc.field.ForEachAffected(i, nearCheck)
@@ -229,7 +223,7 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 				// Margin band: rounding could flip the bound tests, so
 				// let the exact scan decide.
 				bandScans++
-				ok = acc.admits(pr.Params, i, active)
+				ok = acc.admits(i, active)
 			}
 		}
 		if !ok {

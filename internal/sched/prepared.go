@@ -201,6 +201,9 @@ type preparedShared struct {
 	medLen   float64
 	medValid bool
 	indexes  map[float64]*geom.Index
+	// lens is medianLength's sort buffer, reused across generations
+	// (only medianLength touches it, under mu).
+	lens []float64
 }
 
 // syncGen drops every cache when pr's geometry generation moved.
@@ -246,12 +249,11 @@ func (sh *preparedShared) medianLength(pr *Problem) float64 {
 	defer sh.mu.Unlock()
 	sh.syncGen(pr)
 	if !sh.medValid {
-		n := pr.N()
-		lens := make([]float64, n)
-		for i := 0; i < n; i++ {
+		lens := floatsIn(&sh.lens, pr.N())
+		for i := range lens {
 			lens[i] = pr.Links.Length(i)
 		}
-		sh.medLen = mathx.Median(lens)
+		sh.medLen = mathx.MedianInPlace(lens)
 		sh.medValid = true
 	}
 	return sh.medLen

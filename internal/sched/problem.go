@@ -57,6 +57,12 @@ func NewProblemContext(ctx context.Context, ls *network.LinkSet, p radio.Params,
 			o(&cfg)
 		}
 	}
+	return buildProblem(ctx, ls, p, cfg)
+}
+
+// buildProblem constructs cfg's field over ls under a "field_build"
+// span; p is already validated.
+func buildProblem(ctx context.Context, ls *network.LinkSet, p radio.Params, cfg problemConfig) (*Problem, error) {
 	sp := obs.SpanFrom(ctx).Child("field_build")
 	if sp.Enabled() {
 		sp.SetStr("backend", cfg.name)
@@ -140,6 +146,56 @@ func (pr *Problem) Rebind(ls *network.LinkSet, moved []int) error {
 	pr.Links = ls
 	pr.gen++
 	return nil
+}
+
+// Incremental reports whether Rebind and Splice update this problem's
+// field from the old one (the dense backend) rather than rebuilding it.
+func (pr *Problem) Incremental() bool {
+	_, ok := pr.field.(*DenseField)
+	return ok
+}
+
+// Splice returns a problem over ls, which must be pr's link set with
+// link removed deleted (0 ≤ removed < N) or, with removed < 0, with one
+// new link appended at index N; every kept link must be unchanged and
+// keep its relative order. The dense backend builds the new matrix
+// from the old one: kept pairs are copied as row runs and only an
+// appended link's row and column are computed, which is bit-identical
+// to a fresh build at O(n) kernel work instead of O(n²). The new field
+// shares no storage with pr's, so dropping pr frees the old matrix.
+// Other backends rebuild (recorded as a "field_build" span, as in
+// NewProblemContext). pr itself is not modified.
+func (pr *Problem) Splice(ctx context.Context, ls *network.LinkSet, removed int) (*Problem, error) {
+	if ls == nil {
+		return nil, fmt.Errorf("sched: nil link set")
+	}
+	want := pr.n + 1
+	if removed >= 0 {
+		if removed >= pr.n {
+			return nil, fmt.Errorf("sched: splice removed index %d out of range", removed)
+		}
+		want = pr.n - 1
+	}
+	if ls.Len() != want {
+		return nil, fmt.Errorf("sched: splice link count %d != %d", ls.Len(), want)
+	}
+	for k := 0; k < min(want, pr.n); k++ {
+		o := k
+		if removed >= 0 && k >= removed {
+			o++
+		}
+		if ls.Link(k) != pr.Links.Link(o) {
+			return nil, fmt.Errorf("sched: splice changed kept link %d", o)
+		}
+	}
+	d, ok := pr.field.(*DenseField)
+	if !ok {
+		return buildProblem(ctx, ls, pr.Params, problemConfig{build: pr.build, name: pr.fieldName})
+	}
+	return &Problem{
+		Links: ls, Params: pr.Params, n: want,
+		field: d.spliced(ls, removed), build: pr.build, fieldName: pr.fieldName,
+	}, nil
 }
 
 // headroom computes the shared machinery the approximation algorithms

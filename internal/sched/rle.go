@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -84,18 +83,24 @@ type interferenceAccum interface {
 	Load(j int) float64
 }
 
+// lengthOrder is the elimination pick order, in a scratch-owned
+// buffer: ascending link length, ties by index (deterministic).
+func lengthOrder(pr *Problem, scr *Scratch) []int {
+	n := pr.N()
+	keys := scr.pickKeysBuf(n)
+	for i := 0; i < n; i++ {
+		keys = append(keys, pickKey{k1: pr.Links.Length(i), idx: i})
+	}
+	return scr.sortPicks(keys)
+}
+
 // eliminationSchedule returns the raw (pick-ordered) active set in a
 // scratch-owned buffer; callers copy it out via finishSchedule before
 // the scratch is reused.
 func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr obs.Span, scr *Scratch) []int {
 	n := pr.N()
-	// Pick order: ascending link length, ties by index (deterministic).
 	sp := tr.Child("sort")
-	ps := scr.pickSorterBufs(n, false)
-	for i := 0; i < n; i++ {
-		ps.k1[i] = pr.Links.Length(i)
-	}
-	sort.Stable(ps)
+	order := lengthOrder(pr, scr)
 	sp.End()
 
 	sp = tr.Child("eliminate")
@@ -113,7 +118,7 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr obs.Span, scr *S
 	active := scr.activeBuf(n)
 	var rule1, rule2 int64
 
-	for _, i := range ps.order {
+	for _, i := range order {
 		if !alive[i] {
 			continue
 		}

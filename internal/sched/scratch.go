@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -25,16 +26,17 @@ type Scratch struct {
 	// which recompute per call exactly as the pre-Prepared code did.
 	pp *Prepared
 
-	sorter  pickSorter
-	active  []int
-	alive   []bool
-	usable  []bool
-	lens    []float64
-	senders []geom.Point
-	recvs   []geom.Point
-	acc     Accum
-	acc2    Accum
-	det     detAccum
+	pickKeys []pickKey
+	order    []int
+	active   []int
+	alive    []bool
+	usable   []bool
+	lens     []float64
+	senders  []geom.Point
+	recvs    []geom.Point
+	acc      Accum
+	acc2     Accum
+	det      detAccum
 
 	// Tile-sharded solver state (shard.go): the partition/merge
 	// workspace, lazily allocated, the tile-local accumulator a
@@ -96,50 +98,51 @@ func boolsIn(buf *[]bool, n int) []bool {
 	return *buf
 }
 
-// pickSorter stable-sorts positions of a parallel (order, k1, k2)
-// triple by k1 ascending, ties by k2 ascending, remaining ties by
-// original position (sort.Stable). It replaces sort.SliceStable in the
-// solver hot loops: a pointer to a Scratch-resident pickSorter
-// converts to sort.Interface without allocating, where SliceStable's
-// closure and reflection machinery do not.
-type pickSorter struct {
-	order  []int
-	k1, k2 []float64
+// pickKey is one pick-order sort entry: link idx under its primary
+// and secondary keys.
+type pickKey struct {
+	k1, k2 float64
+	idx    int
 }
 
-func (s *pickSorter) Len() int { return len(s.order) }
-
-func (s *pickSorter) Less(a, b int) bool {
-	if s.k1[a] != s.k1[b] || s.k2 == nil {
-		return s.k1[a] < s.k1[b]
+// comparePickKeys orders by k1 ascending, ties by k2 ascending, then
+// by idx ascending. Indices are distinct, so this is a total order on
+// any key buffer and every correct sort yields the one permutation
+// sort.Stable on (k1, k2) would — without an interface call per
+// comparison and swap.
+func comparePickKeys(a, b pickKey) int {
+	switch {
+	case a.k1 < b.k1:
+		return -1
+	case b.k1 < a.k1:
+		return 1
+	case a.k2 < b.k2:
+		return -1
+	case b.k2 < a.k2:
+		return 1
 	}
-	return s.k2[a] < s.k2[b]
+	return a.idx - b.idx
 }
 
-func (s *pickSorter) Swap(a, b int) {
-	s.order[a], s.order[b] = s.order[b], s.order[a]
-	s.k1[a], s.k1[b] = s.k1[b], s.k1[a]
-	if s.k2 != nil {
-		s.k2[a], s.k2[b] = s.k2[b], s.k2[a]
+// pickKeysBuf returns the empty scratch key buffer with capacity ≥ n;
+// callers append the candidates' keys and hand the buffer to
+// sortPicks.
+func (s *Scratch) pickKeysBuf(n int) []pickKey {
+	if cap(s.pickKeys) < n {
+		s.pickKeys = make([]pickKey, 0, n)
 	}
+	return s.pickKeys[:0]
 }
 
-// pickSorterBufs returns the scratch sorter with order = identity and
-// key buffers sized n (keys uninitialized; callers fill then
-// sort.Stable). twoKeys selects whether the secondary key participates.
-func (s *Scratch) pickSorterBufs(n int, twoKeys bool) *pickSorter {
-	ps := &s.sorter
-	ps.order = intsIn(&ps.order, n)
-	ps.k1 = floatsIn(&ps.k1, n)
-	if twoKeys {
-		ps.k2 = floatsIn(&ps.k2, n)
-	} else {
-		ps.k2 = nil
+// sortPicks sorts keys (comparePickKeys) and returns their indices in
+// that order, in a scratch-owned buffer.
+func (s *Scratch) sortPicks(keys []pickKey) []int {
+	slices.SortFunc(keys, comparePickKeys)
+	order := intsIn(&s.order, len(keys))
+	for m, k := range keys {
+		order[m] = k.idx
 	}
-	for i := range ps.order {
-		ps.order[i] = i
-	}
-	return ps
+	return order
 }
 
 // activeBuf returns the empty active-set buffer with capacity ≥ n, so
@@ -156,7 +159,7 @@ func (s *Scratch) activeBuf(n int) []int {
 func (s *Scratch) zeroAccum(pr *Problem) *Accum {
 	a := &s.acc
 	a.reset(pr.field)
-	a.gammaEps = pr.GammaEps()
+	a.setBudget(pr)
 	return a
 }
 
@@ -235,7 +238,7 @@ func (s *Scratch) medianLength(pr *Problem) float64 {
 	for i := 0; i < n; i++ {
 		lens[i] = pr.Links.Length(i)
 	}
-	return mathx.Median(lens)
+	return mathx.MedianInPlace(lens)
 }
 
 // finishSchedule copies the raw active set into dst[:0] sorted

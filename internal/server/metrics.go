@@ -79,7 +79,7 @@ func NewMetrics() *Metrics {
 		prepHits:  reg.Counter("schedd_prepared_cache_hits_total", "Solves that reused a cached prepared interference field."),
 		prepMiss:  reg.Counter("schedd_prepared_cache_misses_total", "Solves that found no prepared field for their link set."),
 		prepBuilds: reg.Counter("schedd_prepared_builds_total",
-			"Interference-field constructions performed (single-flight: concurrent misses on one key build once)."),
+			"Interference-field constructions performed (single-flight: concurrent misses on one key build once; a dense session add/remove splices its matrix and is not counted)."),
 		prepEvict: reg.Counter("schedd_prepared_cache_evictions_total", "Prepared fields evicted by LRU capacity pressure."),
 		prepSize:  reg.Gauge("schedd_prepared_cache_size", "Prepared fields currently resident."),
 		batchSizes: reg.Histogram("schedd_batch_configs", "Solve configs per /v1/solve/batch request.",
@@ -193,8 +193,8 @@ func (m *Metrics) SessionClosed(reason string) {
 
 // SessionEvent records one applied event: its type-labeled count, the
 // unlabeled total (the counter tests and operators diff against
-// prepared_builds to prove moves skip the O(n²) rebuild), and the
-// apply latency.
+// prepared_builds to prove moves, and dense adds and removes, skip the
+// O(n²) rebuild), and the apply latency.
 func (m *Metrics) SessionEvent(typ string, elapsed time.Duration) {
 	m.sessEvents.Inc()
 	m.reg.Counter("schedd_session_events_by_type_total", "Session events applied, by event type.",

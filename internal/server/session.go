@@ -25,8 +25,10 @@ import (
 // move/add/remove/retune events (line-delimited JSON over one
 // long-lived full-duplex request) and receives re-solved schedule
 // deltas, each tagged with a monotonic sequence number. A move costs
-// only the patched DenseField row and column plus one warm solve —
-// never the O(n²) rebuild a fresh /v1/solve would pay.
+// only the patched DenseField row and column plus one warm solve, and
+// an add or remove one matrix splice (kept factors copied, one row and
+// column computed) — never the O(n²) kernel fill a fresh /v1/solve
+// would pay.
 //
 // Resume: every applied delta is retained in a bounded per-session
 // replay window; GET /v1/session/{id}/deltas?seq=N replays exactly the
@@ -231,7 +233,13 @@ func encodeDelta(d *network.SessionDelta) []byte {
 		// this cannot fail, but a wire frame must still appear.
 		b = []byte(fmt.Sprintf(`{"v":%d,"seq":%d,"error":"encoding failed"}`, network.SessionWireVersion, d.Seq))
 	}
-	return append(b, '\n')
+	// The replay window retains the frame, so size it exactly: appending
+	// the newline to Marshal's exact-size result would double its
+	// capacity.
+	line := make([]byte, len(b)+1)
+	copy(line, b)
+	line[len(b)] = '\n'
+	return line
 }
 
 // errorDelta builds a rejection frame: seq unchanged, state untouched.
@@ -449,14 +457,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt, _ := sv.fieldOption()
 	sess := &session{
 		id:        id,
 		key:       key,
 		origin:    obs.TraceIDFrom(r.Context()),
 		algoName:  req.Algorithm,
 		algo:      algo,
-		ed:        mobility.NewEditor(prep, opt),
+		ed:        mobility.NewEditor(prep, nil),
 		active:    sch.Active,
 		seq:       0,
 		notify:    make(chan struct{}),
@@ -541,9 +548,13 @@ func (s *Server) applySessionEvent(ctx context.Context, sess *session, ev *netwo
 		return errorDelta(tid, sess.seq, ev.Type, sess.ed.N(), err.Error()), applyRejected
 	}
 	if sess.ed.Rebuilds() != rebuildsBefore {
-		// add/remove rebuilt the field: account for the build and point
-		// the pinned cache entry at the live handle.
+		// add/remove rebuilt a non-dense field: account for the build.
+		// A dense splice computes no kernel fill and is not a build.
 		s.metrics.PreparedBuild()
+	}
+	if ev.Type == network.EventAdd || ev.Type == network.EventRemove {
+		// add/remove replaced the handle: point the pinned cache entry
+		// at the live one so the old field becomes unreachable.
 		s.preps.replace(sess.key, sess.ed.Prepared())
 	}
 	if ev.Type == network.EventRemove {

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/geom"
 	"repro/internal/network"
@@ -363,40 +365,93 @@ func TestSessionStreamE2E(t *testing.T) {
 }
 
 // TestSessionMoveAvoidsFieldRebuild pins the acceptance criterion that
-// gives sessions their point: moves re-solve without rebuilding the
-// field (prepared_builds stays flat while session_events advances);
-// add and remove pay — and account for — exactly one build each.
+// gives sessions their point: on the dense backend moves re-solve
+// without rebuilding the field (prepared_builds stays flat while
+// session_events advances), and add and remove splice the matrix, which
+// is not a build either. On the sparse backend, which can neither patch
+// nor splice, every geometry event pays — and accounts for — exactly
+// one build.
 func TestSessionMoveAvoidsFieldRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		field          string
+		buildsPerEvent int64
+	}{{"", 0}, {"sparse", 1}} {
+		t.Run("field="+tc.field, func(t *testing.T) {
+			srv, ts := newSessionServer(t, Config{})
+			links := paperLinks(t, 30, 4)
+			created := createSession(t, ts, SessionRequest{Algorithm: "greedy", Links: links, Field: tc.field})
+			st := openStream(t, ts, created.SessionID)
+
+			buildsAfterCreate := srv.Metrics().PreparedBuilds()
+			eventsBefore := srv.Metrics().SessionEvents()
+			r := rng.New(5)
+			const moves = 50
+			for i := 0; i < moves; i++ {
+				p := geom.Point{X: r.Float64() * 500, Y: r.Float64() * 500}
+				st.send(network.SessionEvent{Type: network.EventMove, Link: r.IntN(30), Sender: &p})
+				if d, _ := st.recv(); d.Error != "" {
+					t.Fatalf("move %d rejected: %s", i, d.Error)
+				}
+			}
+			if got, want := srv.Metrics().PreparedBuilds(), buildsAfterCreate+moves*tc.buildsPerEvent; got != want {
+				t.Fatalf("prepared builds %d → %d across %d moves, want %d", buildsAfterCreate, got, moves, want)
+			}
+			if got := srv.Metrics().SessionEvents(); got != eventsBefore+moves {
+				t.Fatalf("session events %d → %d, want +%d", eventsBefore, got, moves)
+			}
+
+			buildsBefore := srv.Metrics().PreparedBuilds()
+			st.send(network.SessionEvent{Type: network.EventAdd, Add: &network.Link{
+				Sender: geom.Point{X: 900, Y: 900}, Receiver: geom.Point{X: 910, Y: 900}, Rate: 1, Power: 1}})
+			if d, _ := st.recv(); d.Error != "" {
+				t.Fatalf("add rejected: %s", d.Error)
+			}
+			if got, want := srv.Metrics().PreparedBuilds(), buildsBefore+tc.buildsPerEvent; got != want {
+				t.Fatalf("prepared builds %d after an add, want exactly %d", got, want)
+			}
+			st.send(network.SessionEvent{Type: network.EventRemove, Link: 3})
+			if d, _ := st.recv(); d.Error != "" {
+				t.Fatalf("remove rejected: %s", d.Error)
+			}
+			if got, want := srv.Metrics().PreparedBuilds(), buildsBefore+2*tc.buildsPerEvent; got != want {
+				t.Fatalf("prepared builds %d after add+remove, want exactly %d", got, want)
+			}
+			st.closeWrite()
+		})
+	}
+}
+
+// TestSessionSpliceReleasesOldField: after a dense add or remove the
+// session's pinned cache entry points at the spliced handle, so nothing
+// in the server keeps the pre-splice matrix alive.
+func TestSessionSpliceReleasesOldField(t *testing.T) {
 	srv, ts := newSessionServer(t, Config{})
-	links := paperLinks(t, 30, 4)
-	created := createSession(t, ts, SessionRequest{Algorithm: "greedy", Links: links})
+	created := createSession(t, ts, SessionRequest{Algorithm: "greedy", Links: paperLinks(t, 30, 6)})
+	sess, ok := srv.lookupSession(created.SessionID)
+	if !ok {
+		t.Fatal("session not registered")
+	}
+	field := func() *sched.DenseField {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return sess.ed.Prepared().Problem().Field().(*sched.DenseField)
+	}
 	st := openStream(t, ts, created.SessionID)
-
-	buildsAfterCreate := srv.Metrics().PreparedBuilds()
-	eventsBefore := srv.Metrics().SessionEvents()
-	r := rng.New(5)
-	const moves = 50
-	for i := 0; i < moves; i++ {
-		p := geom.Point{X: r.Float64() * 500, Y: r.Float64() * 500}
-		st.send(network.SessionEvent{Type: network.EventMove, Link: r.IntN(30), Sender: &p})
+	for _, ev := range []network.SessionEvent{
+		{Type: network.EventAdd, Add: &network.Link{
+			Sender: geom.Point{X: 900, Y: 900}, Receiver: geom.Point{X: 910, Y: 900}, Rate: 1}},
+		{Type: network.EventRemove, Link: 4},
+	} {
+		old := weak.Make(field())
+		st.send(ev)
 		if d, _ := st.recv(); d.Error != "" {
-			t.Fatalf("move %d rejected: %s", i, d.Error)
+			t.Fatalf("%s rejected: %s", ev.Type, d.Error)
 		}
-	}
-	if got := srv.Metrics().PreparedBuilds(); got != buildsAfterCreate {
-		t.Fatalf("prepared builds advanced %d → %d across pure moves", buildsAfterCreate, got)
-	}
-	if got := srv.Metrics().SessionEvents(); got != eventsBefore+moves {
-		t.Fatalf("session events %d → %d, want +%d", eventsBefore, got, moves)
-	}
-
-	st.send(network.SessionEvent{Type: network.EventAdd, Add: &network.Link{
-		Sender: geom.Point{X: 900, Y: 900}, Receiver: geom.Point{X: 910, Y: 900}, Rate: 1, Power: 1}})
-	if d, _ := st.recv(); d.Error != "" {
-		t.Fatalf("add rejected: %s", d.Error)
-	}
-	if got := srv.Metrics().PreparedBuilds(); got != buildsAfterCreate+1 {
-		t.Fatalf("prepared builds %d after an add, want exactly %d", got, buildsAfterCreate+1)
+		runtime.GC()
+		runtime.GC()
+		if old.Value() != nil {
+			t.Fatalf("%s: the pre-splice field is still reachable", ev.Type)
+		}
 	}
 	st.closeWrite()
 }

@@ -55,6 +55,19 @@ echo "== prepared zero-alloc gate"
 # detector instruments allocations), so this is the run that counts.
 go test -run 'TestPreparedSolveZeroAllocs|TestPreparedConcurrent' -count=1 ./internal/sched/
 
+echo "== session fast path"
+# The exact, bit-identical session event path at 1, 2 and 4 CPUs: dense
+# add/remove splices equal to a fresh build (serial and parallel fill),
+# key-sorted pick orders equal to the sort.Stable order they replaced,
+# a seeded editor event stream equal to a cold solve after every event,
+# Move's O(n) validation with NewLinkSet's error texts, the splice
+# spans, the solver oracles the hoisted admission test must keep
+# (stats, pruned-vs-scan insertion), and the 0 allocs/op steady-state
+# solve under interleaved rebinds.
+go test -run 'TestDenseSpliceMatchesBuild|TestSplice|TestPickOrderMatchesStableSort|TestSolveStatsOracle|TestPrunedInsertMatchesScan' -cpu 1,2,4 -count=1 ./internal/sched/
+go test -run 'TestEditor|TestTrackerInterleavedRebindSolve' -cpu 1,2,4 -count=1 ./internal/mobility/
+go test -run 'TestWithLinkMatchesNewLinkSet' -count=1 ./internal/network/
+
 echo "== session stream gate"
 # The streaming-session layer uncached under -race: the per-event
 # differential oracle, the byte-exact resume/replay contract, TTL and
