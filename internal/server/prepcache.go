@@ -201,9 +201,10 @@ func (c *prepCache) release(k cacheKey) {
 	}
 }
 
-// replace swaps the prepared handle stored under k (a session event
-// that rebuilt its field — add/remove — hands the new build back so
-// the pinned entry keeps the live field alive, not the stale one).
+// replace swaps the prepared handle stored under k (a session add or
+// remove, which splices or rebuilds its field into a new handle, hands
+// it back so the pinned entry keeps the live field alive, not the
+// stale one).
 func (c *prepCache) replace(k cacheKey, pp *sched.Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
