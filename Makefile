@@ -91,7 +91,7 @@ bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkSpan' ./internal/obs/
 
 ## fuzz: a short fuzzing pass over the sparse-safety, fast-pow, and
-## decoder targets
+## decoder targets (including the decode-vs-encoding/json oracles)
 fuzz:
 	$(GO) test -fuzz FuzzSparseNeverOverAdmits -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzShardedFeasible -fuzztime 30s ./internal/sched/
@@ -99,6 +99,9 @@ fuzz:
 	$(GO) test -fuzz 'FuzzRead$$' -fuzztime 30s ./internal/network/
 	$(GO) test -fuzz FuzzReadLinkSet -fuzztime 30s ./internal/network/
 	$(GO) test -fuzz FuzzSessionEvents -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz 'FuzzDecodeMatchesStdlibSolve$$' -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz 'FuzzDecodeMatchesStdlibTraffic$$' -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz 'FuzzDecodeMatchesStdlibRead$$' -fuzztime 30s ./internal/network/
 
 fmt:
 	gofmt -w .

@@ -2,7 +2,11 @@ package network
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -148,4 +152,141 @@ func FuzzReadLinkSet(f *testing.F) {
 			t.Fatalf("canonical form not byte-stable:\n%s\nvs\n%s", out1.Bytes(), out2.Bytes())
 		}
 	})
+}
+
+// readStdlib is Read as it was before the canonical reader: the strict
+// encoding/json decode, then the version and link checks.
+func readStdlib(data []byte) (*LinkSet, error) {
+	var in instanceJSON
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
+		return nil, fmt.Errorf("network: decoding instance: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("network: trailing data after instance")
+	}
+	if in.Version != formatVersion {
+		return nil, fmt.Errorf("network: unsupported instance format version %d", in.Version)
+	}
+	return NewLinkSet(in.Links)
+}
+
+// sameLinkBits compares two instances field by field on IEEE-754 bit
+// patterns, so -0 and 0 differ.
+func sameLinkBits(a, b *LinkSet) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		x, y := a.Link(i), b.Link(i)
+		for k, v := range []float64{x.Sender.X, x.Sender.Y, x.Receiver.X, x.Receiver.Y, x.Rate, x.Power} {
+			w := []float64{y.Sender.X, y.Sender.Y, y.Receiver.X, y.Receiver.Y, y.Rate, y.Power}[k]
+			if math.Float64bits(v) != math.Float64bits(w) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeMatchesStdlibRead is the differential oracle for Read's
+// canonical link reader: for any input, Read and the plain strict
+// encoding/json decode agree on accept/reject, on the error text and
+// on every bit of every accepted link.
+func FuzzDecodeMatchesStdlibRead(f *testing.F) {
+	valid, err := Generate(PaperConfig(3), 5, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	links := valid.Links()
+	links[2].Power = 1.5
+	var indented bytes.Buffer
+	if err := MustNewLinkSet(links).Write(&indented); err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(instanceJSON{Version: 1, Links: links})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented.Bytes())
+	f.Add(compact)
+	b := string(compact)
+	for _, r := range [][2]string{
+		// Case-folded keys.
+		{`"X":`, `"x":`}, {`"sender":`, `"SENDER":`}, {`"sender":`, `"ſender":`},
+		{`"links":`, `"lin` + "K" + `s":`}, {`"version":`, `"Version":`},
+		// Duplicates: scalar, nested object (merged), links.
+		{`"version":1`, `"version":1,"version":1`}, {`{"X":`, `{"X":9,"X":`},
+		{`"sender":{`, `"sender":{"Y":3},"sender":{`},
+		{`"links":[`, `"links":[{"rate":2,"power":4}],"links":[`},
+		// null in every kind of position.
+		{`"version":1`, `"version":null`}, {`"links":[`, `"links":null,"x":[`},
+		{`"links":[`, `"links":[null,`}, {`"sender":{`, `"sender":null,"y":{`},
+		{`{"X":`, `{"X":null,"x":`}, {`"rate":1`, `"rate":null`}, {`"power":1.5`, `"power":null`},
+		// Escapes and invalid UTF-8.
+		{`"rate":`, `"r\u0061te":`}, {`"rate":`, "\"rate\xff\":"}, {`"X":`, `"\u0058":`},
+		{`"rate":`, "\"rat\u00e9\":"},
+		// Number edges: floats and the int version field.
+		{`"rate":1`, `"rate":-0`}, {`"rate":1`, `"rate":1e400`}, {`"rate":1`, `"rate":01`},
+		{`"rate":1`, `"rate":1.`}, {`"rate":1`, `"rate":1E0`}, {`"power":1.5`, `"power":-0.0`},
+		{`"version":1`, `"version":1.0`}, {`"version":1`, `"version":1e0`},
+		{`"version":1`, `"version":99999999999999999999`}, {`"version":1`, `"version":-0`},
+	} {
+		if strings.Contains(b, r[0]) {
+			f.Add([]byte(strings.Replace(b, r[0], r[1], 1)))
+		}
+	}
+	// A BOM, trailing data, whitespace everywhere, junk.
+	f.Add([]byte("\xef\xbb\xbf" + b))
+	f.Add([]byte(b + " 1"))
+	f.Add([]byte(b + "\r\n\t "))
+	f.Add([]byte(strings.NewReplacer(",", " , ", ":", " :\n", "[", "[\t").Replace(b)))
+	f.Add([]byte(`{"version":1,"links":[]}`))
+	f.Add([]byte(`{"links":[]}`))
+	f.Add([]byte(``))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := Read(bytes.NewReader(data))
+		want, wantErr := readStdlib(data)
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Fatalf("Read err %v, encoding/json err %v on %q", gotErr, wantErr, data)
+		case gotErr != nil && gotErr.Error() != wantErr.Error():
+			t.Fatalf("Read err %q, encoding/json err %q on %q", gotErr, wantErr, data)
+		case gotErr == nil && !sameLinkBits(got, want):
+			t.Fatalf("Read and encoding/json decoded different links from %q", data)
+		}
+	})
+}
+
+// TestWriteOutputIsCanonical: what Write produces (indented) and what
+// json.Marshal produces for a link list both stay on the canonical
+// reader, so loading an instance file never needs encoding/json.
+func TestWriteOutputIsCanonical(t *testing.T) {
+	ls, err := Generate(PaperConfig(40), 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ls.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(instanceJSON{Version: 1, Links: ls.Links()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{buf.Bytes(), compact} {
+		var c Canon
+		var in instanceJSON
+		c.Reset(body)
+		in.readCanonical(&c)
+		if !c.Done() {
+			t.Fatalf("canonical reader refused %.120s", body)
+		}
+		if len(in.Links) != ls.Len() || cap(in.Links) != ls.Len() {
+			t.Fatalf("links len %d cap %d, want exact size %d", len(in.Links), cap(in.Links), ls.Len())
+		}
+	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -27,19 +28,34 @@ func (ls *LinkSet) Write(w io.Writer) error {
 // generated one). Unknown fields and trailing data after the instance
 // are rejected: this decoder also guards the network boundary of the
 // scheduling service, where a silently ignored tail is a smuggling
-// vector, not a convenience.
+// vector, not a convenience. The input is decoded by Decode: Canon's
+// link reader on the canonical subset, encoding/json otherwise.
 func Read(r io.Reader) (*LinkSet, error) {
+	body, readErr := io.ReadAll(r)
 	var in instanceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	var c Canon
+	if err := Decode(body, readErr, &c, &in, (*instanceJSON).readCanonical); err != nil {
+		if errors.Is(err, ErrTrailingData) {
+			return nil, fmt.Errorf("network: trailing data after instance")
+		}
 		return nil, fmt.Errorf("network: decoding instance: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("network: trailing data after instance")
 	}
 	if in.Version != formatVersion {
 		return nil, fmt.Errorf("network: unsupported instance format version %d", in.Version)
 	}
 	return NewLinkSet(in.Links)
+}
+
+// readCanonical is instanceJSON's field switch for Decode.
+func (in *instanceJSON) readCanonical(c *Canon) {
+	for m := c.Object(); m.Next(); {
+		switch string(m.Key()) {
+		case "version":
+			in.Version = c.Int()
+		case "links":
+			in.Links = c.Links()
+		default:
+			c.Reject()
+		}
+	}
 }

@@ -74,9 +74,18 @@ func (e Exact) splitDepth(n int) int {
 // a mutex. Reads on the hot path take the mutex too — contention is
 // negligible next to the node work, and it keeps the code obviously
 // correct.
+//
+// Among equal-rate optima (within exactTieTol) the lowest subtree-task
+// index wins, with the greedy seed as task −1 and the first leaf in
+// DFS order winning inside a task. That is the order a single worker
+// visits them in, so the answer is the GOMAXPROCS=1 answer whatever
+// order the tasks run in: a task never cuts a subtree that could tie
+// an incumbent from a higher-index task, and a tied offer from a lower
+// index replaces it.
 type exactState struct {
 	mu       sync.Mutex
 	bestRate float64
+	bestTask int
 	bestSet  []int
 	// Search counters for the tracer, aggregated under mu from each
 	// subtree task's local dfsCounters when the task finishes — the
@@ -88,10 +97,12 @@ type exactState struct {
 	stop atomic.Bool
 }
 
-// dfsCounters accumulates one subtree task's search statistics without
-// any synchronization; the owning goroutine folds them into exactState
+// dfsCounters is one subtree task's own state, kept without any
+// synchronization: its index, which ranks it in the tie-break, and its
+// search statistics, which the owning goroutine folds into exactState
 // once when its subtree is exhausted.
 type dfsCounters struct {
+	task       int   // the subtree task's index (its tie-break rank)
 	nodes      int64 // dfs invocations (tree nodes visited)
 	cutoffs    int64 // subtrees cut by the additive rate bound
 	infeasible int64 // include branches refused by tryInclude
@@ -105,20 +116,32 @@ func (st *exactState) addCounters(c dfsCounters) {
 	st.mu.Unlock()
 }
 
-func (st *exactState) offer(rate float64, set []int) {
+// exactTieTol is the rate slack within which two schedules tie: the
+// bound and the leaf rates are float sums taken in different orders.
+const exactTieTol = 1e-12
+
+// offer proposes a complete schedule found by task.
+func (st *exactState) offer(rate float64, task int, set []int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if rate > st.bestRate {
+	if rate > st.bestRate+exactTieTol || (rate >= st.bestRate-exactTieTol && task < st.bestTask) {
 		st.bestRate = rate
+		st.bestTask = task
 		st.bestSet = append(st.bestSet[:0], set...)
 		st.offers++
 	}
 }
 
-func (st *exactState) bound() float64 {
+// cut reports whether no schedule under a node of task whose rate is
+// at most bound can replace the incumbent: one that beats it outright,
+// or ties it from a lower task index.
+func (st *exactState) cut(bound float64, task int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.bestRate
+	if task < st.bestTask {
+		return bound < st.bestRate-exactTieTol
+	}
+	return bound <= st.bestRate+exactTieTol
 }
 
 func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, tr obs.Span) ([]int, error) {
@@ -145,14 +168,14 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 		suffixRate[d] = suffixRate[d+1] + pr.Links.Rate(order[d])
 	}
 
-	st := &exactState{}
+	st := &exactState{bestTask: -1}
 	// Propagate cancellation into the search as a flag flip; AfterFunc
 	// costs nothing when ctx can never be canceled.
 	unregister := context.AfterFunc(ctx, func() { st.stop.Store(true) })
 	defer unregister()
 	// Seed the incumbent with Greedy so pruning bites immediately.
 	seed := greedySolve(pr, scr, Selection{}, obs.Span{}, nil)
-	st.offer(seed.Throughput(pr), seed.Active)
+	st.offer(seed.Throughput(pr), -1, seed.Active)
 
 	// Enumerate the 2^splitDepth assignments of the first splitDepth
 	// decisions; each feasible prefix becomes one parallel task.
@@ -190,16 +213,16 @@ func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, 
 	search := tr.Child("search")
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, tk := range tasks {
+	for k, tk := range tasks {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(tk task) {
+		go func(k int, tk task) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var cnt dfsCounters
+			cnt := dfsCounters{task: k}
 			dfs(pr, st, order, suffixRate, splitDepth, tk.set, tk.acc, tk.rate, &cnt)
 			st.addCounters(cnt)
-		}(tk)
+		}(k, tk)
 	}
 	wg.Wait()
 	search.Add(obs.KeyNodesExpanded, st.nodes)
@@ -232,12 +255,12 @@ func dfs(pr *Problem, st *exactState, order []int, suffixRate []float64, d int, 
 		return // caller's context canceled; unwind the whole subtree
 	}
 	cnt.nodes++
-	if rate+suffixRate[d] <= st.bound()+1e-12 {
+	if st.cut(rate+suffixRate[d], cnt.task) {
 		cnt.cutoffs++
 		return // even taking everything left cannot beat the incumbent
 	}
 	if d == len(order) {
-		st.offer(rate, set)
+		st.offer(rate, cnt.task, set)
 		return
 	}
 	i := order[d]

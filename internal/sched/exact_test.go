@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/network"
@@ -288,6 +290,39 @@ func BenchmarkProblemConstruction300(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := NewProblem(ls, params); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestExactTieBreakMatchesOneWorker: on unit-rate instances, which
+// have many equal-rate optima, the parallel search returns exactly the
+// schedule a single worker finds (lowest subtree-task index, first in
+// DFS order), run after run, at any split depth.
+func TestExactTieBreakMatchesOneWorker(t *testing.T) {
+	type inst struct {
+		pr    *Problem
+		depth int
+	}
+	var cases []inst
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, n := range []int{8, 14} {
+			pr := smallProblem(t, n, seed, 150)
+			cases = append(cases, inst{pr, 0}, inst{pr, 6})
+		}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	want := make([][]int, len(cases))
+	for i, c := range cases {
+		want[i] = Run(Exact{SplitDepth: c.depth}, c.pr).Active
+	}
+	runtime.GOMAXPROCS(4)
+	for rep := 0; rep < 10; rep++ {
+		for i, c := range cases {
+			if got := Run(Exact{SplitDepth: c.depth}, c.pr).Active; !slices.Equal(got, want[i]) {
+				t.Fatalf("case %d (n=%d, split %d), run %d: %v at 4 procs, %v at 1",
+					i, c.pr.N(), c.depth, rep, got, want[i])
+			}
 		}
 	}
 }

@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -96,21 +94,7 @@ func (q *BatchRequest) solveRequest(c BatchConfig) SolveRequest {
 // response cache as /v1/solve.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
+	if !decodeRequest(s, w, r, &req) {
 		return
 	}
 	if len(req.Configs) == 0 {

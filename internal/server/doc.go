@@ -14,6 +14,13 @@
 //	→ bounded worker pool → context-aware solve → verify/simulate
 //	→ encode once, cache, reply
 //
+// Every JSON body endpoint accepts exactly encoding/json's strict
+// decode (unknown fields and trailing data rejected). decodeRequest
+// reads the body once and fills the request in one byte-level pass
+// when it is in the canonical subset json.Marshal emits, falling back
+// to encoding/json for anything else, so values and error texts are
+// the stdlib's either way.
+//
 // Repeated queries on the same topology are O(1): the cache key is a
 // SHA-256 over the exact solve inputs (link geometry, rates, powers,
 // radio parameters, field backend, Monte-Carlo request), and the

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -360,21 +359,7 @@ func janitorInterval(ttl time.Duration) time.Duration {
 // per-session and pinned), solve the initial schedule, register.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
+	if !decodeRequest(s, w, r, &req) {
 		return
 	}
 	sv := req.solveView()

@@ -220,3 +220,58 @@ func TestSessionAndTrafficTracesHaveNoSolverPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSpanUnderRequestRoot: the solve, batch, traffic and
+// session-create handlers each record a "decode" span as a direct
+// child of the request's root span, carrying the body size and the
+// decoded link count.
+func TestDecodeSpanUnderRequestRoot(t *testing.T) {
+	srv, ts := newSessionServer(t, Config{TraceSampleEvery: 1})
+	links := paperLinks(t, 12, 17)
+	cases := []struct {
+		path, id string
+		req      any
+	}{
+		{"/v1/solve", "d0d0d0d0d0d0d0d1", SolveRequest{Algorithm: "greedy", Links: links}},
+		{"/v1/solve/batch", "d0d0d0d0d0d0d0d2", BatchRequest{Links: links, Configs: []BatchConfig{{Algorithm: "rle"}}}},
+		{"/v1/traffic", "d0d0d0d0d0d0d0d3", TrafficRequest{Links: links, Slots: 20, Rate: 0.1}},
+		{"/v1/session", "d0d0d0d0d0d0d0d4", SessionRequest{Algorithm: "greedy", Links: links}},
+	}
+	for _, tc := range cases {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("X-Trace-Id", tc.id)
+		resp, err := ts.Client().Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := readAll(t, resp.Body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, b)
+		}
+
+		snap := recordedTrace(t, srv, tc.id)
+		root := snap.Spans[0]
+		var decode []obs.SpanSnapshot
+		for _, sp := range snap.Spans {
+			if sp.Name == "decode" {
+				decode = append(decode, sp)
+			}
+		}
+		if len(decode) != 1 {
+			t.Fatalf("%s: %d decode spans, want 1", tc.path, len(decode))
+		}
+		d := decode[0]
+		if d.Parent != root.ID {
+			t.Errorf("%s: decode span's parent is %d, want the root %q (%d)", tc.path, d.Parent, root.Name, root.ID)
+		}
+		if d.Attrs["bytes"] != int64(len(body)) || d.Attrs["links"] != int64(len(links)) {
+			t.Errorf("%s: decode attrs %v, want bytes=%d links=%d", tc.path, d.Attrs, len(body), len(links))
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -238,21 +237,7 @@ type TrafficResponse struct {
 // simulation instead of failing it.
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	var req TrafficRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
+	if !decodeRequest(s, w, r, &req) {
 		return
 	}
 	if err := req.validate(s.cfg.MaxLinks); err != nil {

@@ -68,6 +68,30 @@ go test -run 'TestDenseSpliceMatchesBuild|TestSplice|TestPickOrderMatchesStableS
 go test -run 'TestEditor|TestTrackerInterleavedRebindSolve' -cpu 1,2,4 -count=1 ./internal/mobility/
 go test -run 'TestWithLinkMatchesNewLinkSet' -count=1 ./internal/network/
 
+echo "== request decode gate"
+# The single-pass request decoder: allocs/op pinned on the canonical
+# path (tracing off, so the decode span costs nothing), canonical
+# bodies kept off the encoding/json fallback, the buffered read giving
+# the streaming decoder's 413/400 answers, and the decode span under
+# every request root. The benchmark alongside prints MB/s and B/op
+# for the n=1000 solve and n=2000 traffic bodies next to the strict
+# encoding/json decode. Then each differential fuzz target (server
+# decoder and network.Read against plain encoding/json) runs 10 s.
+go test -run 'TestDecodeRequestAllocs|TestCanonicalBodiesTakeFastPath|TestDecodeRequestLimitSemantics|TestDecodeSpanUnderRequestRoot' \
+    -bench 'BenchmarkDecodeRequest' -benchtime 20x -benchmem -count=1 ./internal/server/
+for target in Solve Batch Traffic Session; do
+    go test -fuzz "^FuzzDecodeMatchesStdlib$target\$" -fuzztime 10s -run '^$' ./internal/server/
+done
+go test -fuzz '^FuzzDecodeMatchesStdlibRead$' -fuzztime 10s -run '^$' ./internal/network/
+
+echo "== exact tie-break gate"
+# Exact's parallel branch-and-bound must return the one-worker answer
+# among equal-rate optima at any CPU count: the unit test directly, and
+# the session-vs-cold-solve oracle for exact, which used to fail about
+# 1 run in 40.
+go test -run 'TestExactTieBreakMatchesOneWorker' -cpu 1,2,4 -count=5 ./internal/sched/
+go test -run 'TestSessionMatchesColdSolve/exact' -cpu 1,2,4 -count=50 ./internal/server/
+
 echo "== session stream gate"
 # The streaming-session layer uncached under -race: the per-event
 # differential oracle, the byte-exact resume/replay contract, TTL and
